@@ -493,6 +493,19 @@ type perf_entry = {
 
 let pe_speedup e = e.baseline_ns /. e.optimized_ns
 
+let print_entries entries =
+  Format.printf "%-28s %-7s %-8s %-14s %-14s %-9s %s@." "op" "n" "domains"
+    "baseline" "optimized" "speedup" "identical";
+  hr ();
+  List.iter
+    (fun e ->
+      let show = Perf_compare.show e.op in
+      Format.printf "%-28s %-7d %-8d %-14s %-14s %-9.2f %b@." e.op e.pe_n
+        e.pe_domains (show e.baseline_ns) (show e.optimized_ns)
+        (pe_speedup e) e.identical)
+    entries;
+  entries
+
 let time_best ?(reps = 3) f =
   let best = ref infinity in
   for _ = 1 to reps do
@@ -538,9 +551,11 @@ let perf_parallel () =
   let push e = entries := e :: !entries in
 
   (* 1. distance matrices: the seed's sequential per-pair loop (every
-     cell re-prints, re-lexes and re-extracts both queries) vs the
-     current [Measure.matrix] path — per-query feature precomputation
-     (Distance.Features), interned-int kernels and pooled row blocks *)
+     cell re-prints, re-lexes and re-extracts both queries, on a 1-lane
+     pool) vs the current [Measure.matrix] path — per-query feature
+     precomputation (Distance.Features), interned-int kernels and pooled
+     row blocks *)
+  let one_lane = Parallel.Pool.create ~domains:1 () in
   List.iter
     (fun (m, n) ->
       let log =
@@ -550,9 +565,9 @@ let perf_parallel () =
       in
       let qs = Array.of_list log in
       let d i j = M.compute M.default_ctx m qs.(i) qs.(j) in
-      let seq = Mining.Dist_matrix.of_fun_seq n d in
+      let seq = Mining.Dist_matrix.of_fun ~pool:one_lane n d in
       let feat = M.matrix ~pool M.default_ctx m log in
-      let t_seq = time_best (fun () -> Mining.Dist_matrix.of_fun_seq n d) in
+      let t_seq = time_best (fun () -> Mining.Dist_matrix.of_fun ~pool:one_lane n d) in
       let t_feat = time_best (fun () -> M.matrix ~pool M.default_ctx m log) in
       push
         { op = "dist_matrix/" ^ M.to_string m;
@@ -995,26 +1010,10 @@ let perf_parallel () =
       optimized_ns = t_hot *. 1e9 /. float_of_int n_ope;
       identical = cold = hot };
 
-  let entries = List.rev !entries in
-  Format.printf "%-28s %-7s %-8s %-14s %-14s %-9s %s@." "op" "n" "domains"
-    "baseline" "optimized" "speedup" "identical";
-  hr ();
-  let pretty ns =
-    if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  List.iter
-    (fun e ->
-      Format.printf "%-28s %-7d %-8d %-14s %-14s %-9.2f %b@." e.op e.pe_n
-        e.pe_domains (pretty e.baseline_ns) (pretty e.optimized_ns)
-        (pe_speedup e) e.identical)
-    entries;
-  entries
+  print_entries (List.rev !entries)
 
 (* P3: metric indexes.  Each range row compares the brute-force neighbor
-   scan (n-1 exact predicate probes per query) against the VP/BK tree on
+   scan (n-1 exact predicate probes per query) against the VP-tree on
    a sampled query set, with [identical] asserting equal neighbor sets.
    Probe counts ride along as their own rows (op suffix "/probes"): the
    two ns fields carry {e probe counts per query}, baseline = n-1 and
@@ -1092,25 +1091,7 @@ let perf_index () =
       (Index.Space.Edit, "edit", 10000);
       (Index.Space.Token, "token", 1000) ];
 
-  (* 2. BK-tree on the integer edit metric *)
-  let sp = space_of Index.Space.Edit M.Edit 1000 in
-  let bk = Index.Bk_tree.build ~pool ~seed:"p3" sp in
-  let queries = sampled 1000 in
-  let bk_identical =
-    Array.map (brute sp) queries = Array.map (Index.Bk_tree.range bk ~eps) queries
-  in
-  let t_brute = time_best ~reps:2 (fun () -> Array.map (brute sp) queries) in
-  let t_bk =
-    time_best ~reps:2 (fun () -> Array.map (Index.Bk_tree.range bk ~eps) queries)
-  in
-  push
-    { op = "index/bk_range/edit";
-      pe_n = 1000; pe_domains = domains;
-      baseline_ns = t_brute *. 1e9 /. float_of_int n_sample;
-      optimized_ns = t_bk *. 1e9 /. float_of_int n_sample;
-      identical = bk_identical };
-
-  (* 3. DBSCAN end-to-end: oracle scans vs the index engine, identical
+  (* 2. DBSCAN end-to-end: oracle scans vs the index engine, identical
      labels (the oracle is itself label-identical to the matrix path —
      property-tested).  Token space: cheap tree probes, so the probe
      reduction shows up in wall time (on edit the oracle's banded
@@ -1121,17 +1102,16 @@ let perf_index () =
   let sp_db = space_of Index.Space.Token M.Token n_db in
   let vp = Index.Vp_tree.build ~pool ~seed:"p3" sp_db in
   let oracle =
-    { Mining.Dbscan.o_n = n_db;
-      within = (fun i j -> Index.Space.within sp_db ~eps i j) }
+    Mining.Dbscan.brute_force ~n:n_db ~within:(fun i j -> Index.Space.within sp_db ~eps i j)
   in
   let ri =
     { Mining.Dbscan.ri_n = n_db;
       range = (fun i -> Index.Vp_tree.range vp ~eps i) }
   in
-  let l_oracle = Mining.Dbscan.run_oracle ~min_pts:3 oracle in
+  let l_oracle = Mining.Dbscan.run_index ~min_pts:3 oracle in
   let l_index = Mining.Dbscan.run_index ~min_pts:3 ri in
   let t_oracle =
-    time_best ~reps:2 (fun () -> Mining.Dbscan.run_oracle ~min_pts:3 oracle)
+    time_best ~reps:2 (fun () -> Mining.Dbscan.run_index ~min_pts:3 oracle)
   in
   let t_index =
     time_best ~reps:2 (fun () -> Mining.Dbscan.run_index ~min_pts:3 ri)
@@ -1142,7 +1122,7 @@ let perf_index () =
       baseline_ns = t_oracle *. 1e9; optimized_ns = t_index *. 1e9;
       identical = l_oracle = l_index };
 
-  (* 4. k-medoids at scale: full PAM over the dense matrix vs CLARANS
+  (* 3. k-medoids at scale: full PAM over the dense matrix vs CLARANS
      over the feature-table distance function.  [identical] asserts the
      bounded-error contract: CLARANS cost within 10% of PAM's. *)
   let n_km = 400 in
@@ -1200,58 +1180,7 @@ let perf_index () =
       baseline_ns = t_pam *. 1e9; optimized_ns = t_clarans *. 1e9;
       identical = clarans_cost <= (1.10 *. pam_cost) +. 1e-9 };
 
-  (* 5. tiled matrix storage: dense pooled build vs tiled pooled fill,
-     bit-identical cells *)
-  let n_tm = 400 in
-  let log_tm =
-    Workload.Gen_query.skyserver_log
-      { Workload.Gen_query.n = n_tm; templates = 8; seed = "p3-tm";
-        caps = Workload.Gen_query.caps_for_measure M.Edit }
-  in
-  let feats_tm = Distance.Features.build ~pool (Array.of_list log_tm) in
-  let d_tm = Distance.Features.edit feats_tm in
-  let dense = Mining.Dist_matrix.of_fun ~pool n_tm d_tm in
-  let tiled () =
-    let tm = Mining.Tile_matrix.create ~tile:128 n_tm d_tm in
-    Mining.Tile_matrix.fill ~pool tm;
-    tm
-  in
-  let tm = tiled () in
-  let t_dense =
-    time_best ~reps:2 (fun () -> Mining.Dist_matrix.of_fun ~pool n_tm d_tm)
-  in
-  let t_tiled = time_best ~reps:2 tiled in
-  push
-    { op = "dist_matrix/tiled/edit";
-      pe_n = n_tm; pe_domains = domains;
-      baseline_ns = t_dense *. 1e9; optimized_ns = t_tiled *. 1e9;
-      identical =
-        Mining.Dist_matrix.max_abs_diff dense (Mining.Tile_matrix.to_dense tm)
-        = 0.0 };
-
-  let entries = List.rev !entries in
-  Format.printf "%-28s %-7s %-8s %-14s %-14s %-9s %s@." "op" "n" "domains"
-    "baseline" "optimized" "speedup" "identical";
-  hr ();
-  let pretty ns =
-    if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  List.iter
-    (fun e ->
-      let is_probes =
-        List.exists
-          (fun s -> s = "probes" || s = "vp_probes" || s = "bk_probes")
-          (String.split_on_char '/' e.op)
-      in
-      let show v = if is_probes then Printf.sprintf "%.0f probes" v else pretty v in
-      Format.printf "%-28s %-7d %-8d %-14s %-14s %-9.2f %b@." e.op e.pe_n
-        e.pe_domains (show e.baseline_ns) (show e.optimized_ns)
-        (pe_speedup e) e.identical)
-    entries;
-  entries
+  print_entries (List.rev !entries)
 
 let emit_perf_json ~metrics path entries =
   let oc = open_out path in

@@ -101,17 +101,29 @@ let min_gate_ns = 1000.0
 (* ops below 1 us/op sit at the wall-clock timer's resolution; their
    ratios are jitter, not signal, so they are reported but never gate *)
 
-(* Print the per-op old-vs-new table; [true] iff some op present in both
-   snapshots with [identical = true] in both got more than 20% slower.
-   Ops measured with [identical = false] (e.g. probabilistic ciphers
-   compared structurally) and sub-microsecond ops never gate. *)
+(* [.../probes/...] and [.../*_probes/...] rows carry probe counts in
+   their ns fields (a cost-model series, not wall time) *)
+let is_probe_op op =
+  List.exists
+    (fun seg -> seg = "probes" || String.ends_with ~suffix:"_probes" seg)
+    (String.split_on_char '/' op)
+
+let pretty ns =
+  if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
+  else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+  else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
+  else Printf.sprintf "%.0f ns" ns
+
+let show op v = if is_probe_op op then Printf.sprintf "%.0f probes" v else pretty v
+
+let same_row a b = a.op = b.op && a.n = b.n
+
+(* Print the per-op old-vs-new table, then the ops only the old snapshot
+   has as "dropped"; [true] iff some op present in both snapshots with
+   [identical = true] in both got more than 20% slower.  Ops measured
+   with [identical = false] (e.g. probabilistic ciphers compared
+   structurally) and sub-microsecond ops never gate. *)
 let report ~old_label ~old_entries ~cur_entries ppf =
-  let pretty ns =
-    if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
   Format.fprintf ppf "@.perf comparison vs %s (new/old < 1.0 = faster):@."
     old_label;
   Format.fprintf ppf "%-28s %-7s %-14s %-14s %-9s %s@." "op" "n" "old" "new"
@@ -120,12 +132,10 @@ let report ~old_label ~old_entries ~cur_entries ppf =
   let regressed = ref false in
   List.iter
     (fun cur ->
-      match
-        List.find_opt (fun old -> old.op = cur.op && old.n = cur.n) old_entries
-      with
+      match List.find_opt (same_row cur) old_entries with
       | None ->
         Format.fprintf ppf "%-28s %-7d %-14s %-14s %-9s %s@." cur.op cur.n "-"
-          (pretty cur.ns_per_op) "-" "new op"
+          (show cur.op cur.ns_per_op) "-" "new op"
       | Some old ->
         let ratio = cur.ns_per_op /. old.ns_per_op in
         let gates =
@@ -134,7 +144,7 @@ let report ~old_label ~old_entries ~cur_entries ppf =
         let bad = gates && ratio > regression_threshold in
         if bad then regressed := true;
         Format.fprintf ppf "%-28s %-7d %-14s %-14s %-9.2f %s@." cur.op cur.n
-          (pretty old.ns_per_op) (pretty cur.ns_per_op) ratio
+          (show cur.op old.ns_per_op) (show cur.op cur.ns_per_op) ratio
           (if bad then "REGRESSED"
            else if not old.identical || not cur.identical then
              "untracked (identical=false)"
@@ -142,4 +152,10 @@ let report ~old_label ~old_entries ~cur_entries ppf =
            else if ratio < 1.0 then "faster"
            else "ok"))
     cur_entries;
+  List.iter
+    (fun old ->
+      if not (List.exists (same_row old) cur_entries) then
+        Format.fprintf ppf "%-28s %-7d %-14s %-14s %-9s %s@." old.op old.n
+          (show old.op old.ns_per_op) "-" "-" "dropped")
+    old_entries;
   !regressed

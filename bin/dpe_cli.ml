@@ -213,25 +213,24 @@ let auto_index_threshold = 512
 let mine_neighbors m algo k eps seed log ~engine =
   if not (Index.Space.supported m) then None
   else
+    let feats () = Distance.Features.build (Array.of_list log) in
+    let space () = Index.Space.of_kind (Option.get (Index.Space.kind_of_measure m)) (feats ()) in
+    let n = List.length log in
     match (algo, engine) with
-    | "dbscan", "oracle" ->
-      let feats = Distance.Features.build (Array.of_list log) in
-      let sp = Index.Space.of_kind (Option.get (Index.Space.kind_of_measure m)) feats in
+    | Mining.Algo.Dbscan, "oracle" ->
+      let sp = space () in
       Some
-        (Mining.Dbscan.run_oracle ~min_pts:3
-           { Mining.Dbscan.o_n = List.length log;
-             within = (fun i j -> Index.Space.within sp ~eps i j) })
-    | "dbscan", "index" ->
-      let feats = Distance.Features.build (Array.of_list log) in
-      let sp = Index.Space.of_kind (Option.get (Index.Space.kind_of_measure m)) feats in
+        (Mining.Dbscan.run_index ~min_pts:3
+           (Mining.Dbscan.brute_force ~n ~within:(fun i j -> Index.Space.within sp ~eps i j)))
+    | Mining.Algo.Dbscan, "index" ->
+      let sp = space () in
       let tree = Index.Vp_tree.build ~seed sp in
       Some
         (Mining.Dbscan.run_index ~min_pts:3
-           { Mining.Dbscan.ri_n = List.length log;
+           { Mining.Dbscan.ri_n = n;
              range = (fun i -> Index.Vp_tree.range tree ~eps i) })
-    | "kmedoids", "index" ->
-      let feats = Distance.Features.build (Array.of_list log) in
-      let n = List.length log in
+    | Mining.Algo.Kmedoids, "index" ->
+      let feats = feats () in
       let d =
         match m with
         | M.Token -> Distance.Features.token feats
@@ -250,14 +249,21 @@ let mine_neighbors m algo k eps seed log ~engine =
            ~n ~d)
     | _ -> None
 
-let mine m algo k eps seed rows trace engine path =
+let mine m algo_name k eps seed rows trace engine path =
   if trace <> None then Obs.set_enabled true;
+  let algo =
+    match Mining.Algo.of_string algo_name with
+    | Ok a -> a
+    | Error e ->
+      Printf.eprintf "%s\n%!" (Fault.Error.to_string e);
+      exit 2
+  in
   let log = read_log path in
   let engine =
     match engine with
     | "auto" ->
       if
-        (algo = "dbscan" || algo = "kmedoids")
+        (algo = Mining.Algo.Dbscan || algo = Mining.Algo.Kmedoids)
         && Index.Space.supported m
         && List.length log >= auto_index_threshold
       then "index"
@@ -282,7 +288,7 @@ let mine m algo k eps seed rows trace engine path =
             | None ->
               Printf.eprintf
                 "engine %s does not cover --algo %s -m %s; using matrix\n%!"
-                engine algo (M.to_string m);
+                engine algo_name (M.to_string m);
               None
           end
         in
@@ -293,15 +299,7 @@ let mine m algo k eps seed rows trace engine path =
             if m = M.Result then M.ctx_with_db (db_for_log ~seed ~rows log)
             else M.default_ctx
           in
-          let dm = Dpe.Verdict.distance_matrix ctx m log in
-          (match algo with
-           | "dbscan" -> Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 3 } dm
-           | "kmedoids" ->
-             Mining.Kmedoids.run { Mining.Kmedoids.k; max_iter = 50 } dm
-           | "outliers" ->
-             Mining.Outlier.run { Mining.Outlier.p = 0.95; d = eps } dm
-             |> Array.map (fun b -> if b then 1 else 0)
-           | _ -> Mining.Hier.cut_k k dm))
+          Mining.Algo.run algo ~k ~eps (Dpe.Verdict.distance_matrix ctx m log))
   in
   Array.iteri
     (fun i l ->
@@ -323,7 +321,7 @@ let mine_cmd =
   let engine =
     Arg.(value & opt string "auto"
          & info [ "engine" ]
-             ~doc:"Neighbor engine: matrix (dense distance matrix), oracle \
+             ~doc:"Neighbor engine: matrix (pairwise distance matrix), oracle \
                    (predicate scans, no matrix), index (VP-tree / CLARANS, \
                    sub-quadratic) or auto (index for large indexable logs, \
                    matrix otherwise).  All engines produce identical labels \

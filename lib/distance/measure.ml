@@ -76,7 +76,7 @@ let record_matrix_span measure queries t0 =
   end
 
 (* feature-table pair evaluator: closes over the precomputed table, so
-   the Sym_matrix fill touches no query text.  Bit-identical to
+   the matrix fill touches no query text.  Bit-identical to
    [compute] per pair (see Features). *)
 let pair_of_features ctx measure feats =
   match measure with
@@ -86,22 +86,6 @@ let pair_of_features ctx measure feats =
   | Clause -> fun i j -> Obs.Metric.incr m_evals; Features.clause feats i j
   | Access -> fun i j -> Obs.Metric.incr m_evals; Features.access ~x:ctx.x feats i j
   | Result -> assert false
-
-let matrix ?pool ctx measure queries =
-  let t0 = Obs.time_start () in
-  let m =
-    match measure, ctx.db with
-    | Result, Some db -> D_result.matrix ?pool db queries
-    | Result, None -> raise (Fault.Error.E (missing_db "Distance.Measure.matrix"))
-    | (Token | Structure | Access | Edit | Clause), _ ->
-      let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-      let qs = Array.of_list queries in
-      let feats = Features.build ~pool qs in
-      Parallel.Sym_matrix.build ~pool (Array.length qs)
-        (pair_of_features ctx measure feats)
-  in
-  record_matrix_span measure queries t0;
-  m
 
 let matrix_r ?pool ctx measure queries =
   let t0 = Obs.time_start () in
@@ -130,3 +114,8 @@ let matrix_r ?pool ctx measure queries =
   in
   record_matrix_span measure queries t0;
   r
+
+let matrix ?pool ctx measure queries =
+  match matrix_r ?pool ctx measure queries with
+  | Ok m -> m
+  | Error errs -> raise (Fault.Error.E (List.hd errs))

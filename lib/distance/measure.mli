@@ -43,26 +43,28 @@ val compute : ctx -> t -> Sqlir.Ast.query -> Sqlir.Ast.query -> float
 (** @raise Fault.Error.E [(Invariant _)] if {!Result} is requested
     without a database. *)
 
-val matrix :
-  ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
-  -> float array array
-(** The full symmetric pairwise matrix.  Prefer this over calling
-    {!compute} per pair: per-query artifacts (printed form, token
-    sequences, feature / clause sets, access areas) are precomputed once
-    into a {!Features} table — O(n) tokenizations instead of O(n²) — and
-    pairs are evaluated from the table, bit-identically to {!compute}
-    (the result measure likewise evaluates each query once).  Large
-    matrices are filled across [pool] (default
-    [Parallel.Pool.global ()]); all measures are pure, so the result is
-    identical for every pool size.
-    @raise Fault.Error.E [(Invariant _)] if {!Result} is requested
-    without a database. *)
-
 val matrix_r :
   ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
-  -> (float array array, Fault.Error.t list) result
-(** Crash-contained {!matrix}: failures (including injected faults) are
-    collected as typed [Task_failed] errors instead of raised —
-    per-query feature builds as [label = "features.build"], matrix rows
-    as [label = "measure.row"] — and every healthy task still runs; a
+  -> (Parallel.Sym_matrix.t, Fault.Error.t list) result
+(** The pairwise distance matrix (condensed, see {!Parallel.Sym_matrix}).
+    Prefer this over calling {!compute} per pair: per-query artifacts
+    (printed form, token sequences, feature / clause sets, access areas)
+    are precomputed once into a {!Features} table — O(n) tokenizations
+    instead of O(n²) — and pairs are evaluated from the table,
+    bit-identically to {!compute} (the result measure likewise evaluates
+    each query once).  Large matrices are filled across [pool] (default
+    [Parallel.Pool.global ()]); all measures are pure, so the result is
+    identical for every pool size.
+
+    Crash-contained: failures (including injected faults) are collected
+    as typed [Task_failed] errors instead of raised — per-query feature
+    builds as [label = "features.build"], matrix rows as
+    [label = "measure.row"] — and every healthy task still runs; a
     missing database for {!Result} returns [Error [Invariant _]]. *)
+
+val matrix :
+  ?pool:Parallel.Pool.t -> ctx -> t -> Sqlir.Ast.query list
+  -> Parallel.Sym_matrix.t
+(** {!matrix_r}, raising its first error.
+    @raise Fault.Error.E on any failure, e.g. [(Invariant _)] if
+    {!Result} is requested without a database. *)

@@ -33,5 +33,5 @@ val strip : plan -> 'a array -> 'a array
 (** Drop the decoy entries from a per-query result vector (labels,
     outlier flags) the provider computed over the padded log. *)
 
-val strip_matrix : plan -> float array array -> float array array
+val strip_matrix : plan -> Parallel.Sym_matrix.t -> Parallel.Sym_matrix.t
 (** Drop decoy rows/columns from a padded distance matrix. *)

@@ -24,13 +24,14 @@ let check_dpe ?plain_db ?cipher_db ?(x = Distance.D_access.default_x)
   let cipher_ctx = { M.db = cipher_db; x } in
   let dp = distance_matrix plain_ctx measure log in
   let dc = distance_matrix cipher_ctx measure enc_log in
-  let n = Array.length dp in
+  let n = Parallel.Sym_matrix.size dp in
   let max_dev = ref 0.0 and sum = ref 0.0 and pairs = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       incr pairs;
-      sum := !sum +. dp.(i).(j);
-      let dev = Float.abs (dp.(i).(j) -. dc.(i).(j)) in
+      let p = Parallel.Sym_matrix.get dp i j in
+      sum := !sum +. p;
+      let dev = Float.abs (p -. Parallel.Sym_matrix.get dc i j) in
       if dev > !max_dev then max_dev := dev
     done
   done;

@@ -37,6 +37,6 @@ val check_equivalence :
 
 val distance_matrix :
   Distance.Measure.ctx -> Distance.Measure.t -> Sqlir.Ast.query list
-  -> float array array
-(** Symmetric pairwise distance matrix — also the input format of the
+  -> Parallel.Sym_matrix.t
+(** Condensed pairwise distance matrix — also the input format of the
     {!Mining} algorithms. *)

@@ -41,8 +41,6 @@ let size t = t.n
 let kind t = t.kind
 let features t = t.feats
 
-let is_int_metric t = t.kind = Edit
-
 (* the metric the trees route on.  For the Jaccard-family measures it is
    the query distance itself (a proven metric).  For edit it is the raw
    integer Levenshtein distance (unquestionably a metric) — exactness
@@ -54,12 +52,6 @@ let tree_dist t i j =
   | Structure -> F.structure t.feats i j
   | Clause -> F.clause t.feats i j
   | Edit -> float_of_int (F.edit_distance_int t.feats i j)
-
-let int_dist t i j =
-  match t.kind with
-  | Edit -> F.edit_distance_int t.feats i j
-  | Token | Structure | Clause ->
-    invalid_arg "Index.Space.int_dist: edit space required"
 
 let len t i = match t.kind with Edit -> F.edit_len t.feats i | _ -> 0
 let max_len t = match t.kind with Edit -> F.max_edit_len t.feats | _ -> 0

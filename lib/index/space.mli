@@ -32,17 +32,9 @@ val size : t -> int
 val kind : t -> kind
 val features : t -> Distance.Features.t
 
-val is_int_metric : t -> bool
-(** True iff the tree metric is integer-valued (edit) — the precondition
-    of the BK-tree. *)
-
 val tree_dist : t -> int -> int -> float
 (** The routing metric (see above).  Exact; every call is a "probe" in
     the cost model. *)
-
-val int_dist : t -> int -> int -> int
-(** Raw integer Levenshtein distance.
-    @raise Invalid_argument unless {!is_int_metric}. *)
 
 val len : t -> int -> int
 (** Edit-token length of point [i] (0 for the set measures). *)
@@ -69,7 +61,7 @@ val radius : t -> eps:float -> qlen:int -> sublen:int -> float
 
 val build_point : int -> unit
 (** Pass the ["index.build"] injection point keyed by a point id (used
-    by both tree builders; raises when an armed trigger fires). *)
+    by the tree builder; raises when an armed trigger fires). *)
 
 (**/**)
 

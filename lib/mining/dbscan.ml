@@ -1,10 +1,5 @@
 type params = { eps : float; min_pts : int }
 
-type oracle = {
-  o_n : int;
-  within : int -> int -> bool;
-}
-
 type range_index = {
   ri_n : int;
   range : int -> int list;
@@ -14,32 +9,63 @@ let m_runs = Obs.Registry.counter "kitdpe.mining.dbscan.runs"
 let m_scans = Obs.Registry.counter "kitdpe.mining.dbscan.neighbor_scans"
 let m_clusters = Obs.Registry.counter "kitdpe.mining.dbscan.clusters_found"
 
-(* pairwise predicate evaluations spent inside oracle neighbor scans —
-   the brute-force cost an index engine is bought to avoid, exposed so
-   the two are comparable on one dashboard *)
+(* pairwise predicate evaluations spent inside brute-force neighbor
+   scans — the cost an index engine is bought to avoid, exposed so the
+   two are comparable on one dashboard *)
 let m_oracle_probes = Obs.Registry.counter "kitdpe.mining.dbscan.oracle_probes"
 
-let neighbors m eps i =
-  Obs.Metric.incr m_scans;
+(* Every neighborhood is an ascending list with [i] excluded: the
+   downto-prepend scans below, or an index's [range].
+
+   The matrix engine first draws the eps-graph as an n×n bitset (n²/8
+   bytes, 1/32 of the condensed matrix) in one pass over the triangle in
+   storage order; a neighborhood is then one contiguous bitset row,
+   where a row of the condensed matrix would be read down its strided
+   column part. *)
+let eps_graph m eps =
   let n = Dist_matrix.size m in
-  let acc = ref [] in
-  for j = n - 1 downto 0 do
-    if j <> i && Dist_matrix.get m i j <= eps then acc := j :: !acc
+  let stride = (n + 7) / 8 in
+  let bits = Bytes.make (n * stride) '\000' in
+  let set i j =
+    let k = (i * stride) + (j lsr 3) in
+    Bytes.set_uint8 bits k (Bytes.get_uint8 bits k lor (1 lsl (j land 7)))
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Dist_matrix.get m i j <= eps then begin
+        set i j;
+        set j i
+      end
+    done
   done;
-  !acc
+  fun i ->
+    let acc = ref [] in
+    for k = stride - 1 downto 0 do
+      let byte = Bytes.get_uint8 bits ((i * stride) + k) in
+      if byte <> 0 then
+        for b = 7 downto 0 do
+          if byte land (1 lsl b) <> 0 then acc := ((k lsl 3) + b) :: !acc
+        done
+    done;
+    !acc
 
-(* same scan order as [neighbors], so the oracle path assigns identical
-   labels whenever [within i j = (get m i j <= eps)] *)
-let neighbors_oracle o i =
-  Obs.Metric.incr m_scans;
-  Obs.Metric.add m_oracle_probes (o.o_n - 1);
-  let acc = ref [] in
-  for j = o.o_n - 1 downto 0 do
-    if j <> i && o.within i j then acc := j :: !acc
-  done;
-  !acc
+let brute_force ~n ~within =
+  let range i =
+    Obs.Metric.add m_oracle_probes (n - 1);
+    let acc = ref [] in
+    for j = n - 1 downto 0 do
+      if j <> i && within i j then acc := j :: !acc
+    done;
+    !acc
+  in
+  { ri_n = n; range }
 
-let expand ~n ~min_pts ~neighbors =
+let run_index ~min_pts { ri_n = n; range } =
+  let t0 = Obs.time_start () in
+  let neighbors i =
+    Obs.Metric.incr m_scans;
+    range i
+  in
   let labels = Array.make n (-2) in
   (* -2 unvisited, -1 noise, >= 0 cluster id *)
   let cluster = ref (-1) in
@@ -66,43 +92,14 @@ let expand ~n ~min_pts ~neighbors =
       end
     end
   done;
-  labels
-
-let run_core { eps; min_pts } m =
-  expand ~n:(Dist_matrix.size m) ~min_pts ~neighbors:(neighbors m eps)
-
-let record_run ~n labels t0 =
   if t0 > 0 then begin
     Obs.Metric.incr m_runs;
     Obs.Metric.add m_clusters (Array.fold_left max (-1) labels + 1);
     Obs.Span.record ~cat:"mining"
       ~name:(Printf.sprintf "dbscan(n=%d)" n)
       ~ts_ns:t0 ~dur_ns:(Obs.now_ns () - t0) ()
-  end
-
-let run p m =
-  let t0 = Obs.time_start () in
-  let labels = run_core p m in
-  record_run ~n:(Dist_matrix.size m) labels t0;
+  end;
   labels
 
-let run_oracle ~min_pts o =
-  let t0 = Obs.time_start () in
-  let labels = expand ~n:o.o_n ~min_pts ~neighbors:(neighbors_oracle o) in
-  record_run ~n:o.o_n labels t0;
-  labels
-
-(* index engine: neighborhoods answered by a pre-built metric index.
-   [range] already returns ascending neighbor lists — the same order
-   [neighbors]/[neighbors_oracle] produce by their downto-prepend scan —
-   so [expand] consumes identical neighbor sequences and assigns
-   identical labels. *)
-let neighbors_index ri i =
-  Obs.Metric.incr m_scans;
-  ri.range i
-
-let run_index ~min_pts ri =
-  let t0 = Obs.time_start () in
-  let labels = expand ~n:ri.ri_n ~min_pts ~neighbors:(neighbors_index ri) in
-  record_run ~n:ri.ri_n labels t0;
-  labels
+let run { eps; min_pts } m =
+  run_index ~min_pts { ri_n = Dist_matrix.size m; range = eps_graph m eps }

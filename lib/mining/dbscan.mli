@@ -1,31 +1,11 @@
-(** DBSCAN density-based clustering (Ester et al. [4]) over a distance
-    matrix. *)
+(** DBSCAN density-based clustering (Ester et al. [4]).
+
+    One expansion loop ({!run_index}) consumes neighborhoods from a
+    {!range_index}; the engines differ only in how they answer it: a
+    distance-matrix scan ({!run}), a brute-force predicate scan
+    ({!brute_force}) or a pre-built metric index. *)
 
 type params = { eps : float; min_pts : int }
-
-val run : params -> Dist_matrix.t -> int array
-(** Labels per point: cluster ids from 0 upward, [-1] for noise.  Cluster
-    ids are assigned in scan order, so equal distance matrices give equal
-    label arrays (not merely equal partitions). *)
-
-type oracle = {
-  o_n : int;  (** number of points *)
-  within : int -> int -> bool;
-      (** [within i j] iff [d(i,j) <= eps]; must be symmetric *)
-}
-(** DBSCAN only consumes the predicate "is [d(i,j)] within eps", never
-    the distance value itself, so a caller holding an early-abandoning
-    bounded kernel (e.g. [Distance.Features.edit_within]) can cluster
-    without materializing the O(n²) matrix. *)
-
-val run_oracle : min_pts:int -> oracle -> int array
-(** As {!run}, with neighborhoods answered by the oracle.  The scan
-    order is identical, so when
-    [within i j = (Dist_matrix.get m i j <= eps)] the label array equals
-    [run { eps; min_pts } m] exactly.  Each neighbor scan probes all
-    [o_n - 1] other points, counted in
-    [kitdpe.mining.dbscan.oracle_probes] — the brute-force cost the
-    index engine is measured against. *)
 
 type range_index = {
   ri_n : int;  (** number of points *)
@@ -33,10 +13,24 @@ type range_index = {
       (** [range i] = the exact eps-neighborhood of [i], ascending, [i]
           excluded (e.g. [Index.Vp_tree.range]) *)
 }
-(** Neighborhoods answered wholesale by a pre-built metric index. *)
 
 val run_index : min_pts:int -> range_index -> int array
-(** As {!run_oracle} with sub-linear neighbor scans.  Ascending neighbor
-    lists are exactly the order the brute-force scans produce, so when
-    [range i] equals the brute-force eps-neighborhood the labels are
-    bit-identical to {!run} and {!run_oracle}. *)
+(** Labels per point: cluster ids from 0 upward, [-1] for noise.  Cluster
+    ids are assigned in scan order and every neighborhood arrives in
+    ascending order, so two range indexes answering the same
+    neighborhoods give equal label arrays (not merely equal
+    partitions). *)
+
+val run : params -> Dist_matrix.t -> int array
+(** {!run_index} over the matrix scan [{ j <> i | get m i j <= eps }]. *)
+
+val brute_force : n:int -> within:(int -> int -> bool) -> range_index
+(** The range index that scans all [n - 1] other points with [within i j]
+    (which must be symmetric and mean [d(i,j) <= eps]).  DBSCAN only
+    consumes that predicate, never the distance value, so a caller
+    holding an early-abandoning bounded kernel (e.g.
+    [Index.Space.within]) clusters without materializing the O(n²)
+    matrix; when [within i j = (Dist_matrix.get m i j <= eps)] the
+    labels equal [run { eps; min_pts } m] exactly.  Every scan counts
+    its [n - 1] probes in [kitdpe.mining.dbscan.oracle_probes] — the
+    brute-force cost the index engine is measured against. *)

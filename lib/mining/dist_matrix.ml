@@ -1,15 +1,15 @@
-type t = float array array
+type t = Parallel.Sym_matrix.t
 
 let m_evals = Obs.Registry.counter "kitdpe.mining.dist_matrix.evals"
 let m_build_ns = Obs.Registry.histogram "kitdpe.mining.dist_matrix.build_ns"
 let m_build = Obs.Registry.sketch "kitdpe.mining.dist_matrix.build"
 
-(* Where did the wall-clock go?  [of_fun] counts every distance
-   evaluation (the n(n-1)/2 upper-triangle calls) and records one span
-   per matrix build.  The counting closure is allocated once per matrix
-   and only when observability is on; the disabled path is the bare
-   builder. *)
-let of_fun_instrumented build n d =
+(* Where did the wall-clock go?  Every distance evaluation (the n(n-1)/2
+   upper-triangle calls) is counted and one span recorded per matrix
+   build.  The counting closure is allocated once per matrix and only
+   when observability is on; the disabled path is the bare builder. *)
+let build_instrumented ?pool n d =
+  let build = Parallel.Sym_matrix.build_r ?pool in
   if not (Obs.is_enabled ()) then build n d
   else begin
     let t0 = Obs.now_ns () in
@@ -28,11 +28,6 @@ let of_fun_instrumented build n d =
       ~ts_ns:t0 ~dur_ns:dt ();
     m
   end
-
-let of_fun_seq n d = of_fun_instrumented Parallel.Sym_matrix.build_seq n d
-
-let of_fun ?pool n d =
-  of_fun_instrumented (Parallel.Sym_matrix.build ?pool) n d
 
 (* cells are identified by (i, j) with j < 2^20 — plenty for any matrix
    this repository builds — giving each evaluation a stable injection
@@ -70,7 +65,7 @@ let of_fun_r ?pool ?(retries = 0) n d =
       | Ok v -> v
       | Error e -> raise (Fault.Error.E e)
   in
-  match of_fun_instrumented (Parallel.Sym_matrix.build_r ?pool) n d_eval with
+  match build_instrumented ?pool n d_eval with
   | Ok m -> Ok m
   | Error errs ->
     Error
@@ -79,29 +74,13 @@ let of_fun_r ?pool ?(retries = 0) n d =
            Fault.Error.Task_failed { label = "dist_matrix.row"; index = i; cause })
          errs)
 
-let size (m : t) = Array.length m
-let get (m : t) i j = m.(i).(j)
+let of_fun ?pool n d =
+  match of_fun_r ?pool n d with
+  | Ok m -> m
+  | Error errs -> raise (Fault.Error.E (List.hd errs))
 
-exception Bad of string
-
-let validate m =
-  let n = size m in
-  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-  try
-    Array.iteri
-      (fun i row ->
-        if Array.length row <> n then
-          bad "row %d has length %d, expected %d" i (Array.length row) n)
-      m;
-    for i = 0 to n - 1 do
-      if m.(i).(i) <> 0.0 then bad "diagonal (%d,%d) is %g" i i m.(i).(i);
-      for j = i + 1 to n - 1 do
-        if m.(i).(j) <> m.(j).(i) then bad "asymmetry at (%d,%d)" i j;
-        if m.(i).(j) < 0.0 then bad "negative distance at (%d,%d)" i j
-      done
-    done;
-    Ok ()
-  with Bad p -> Error p
+let size = Parallel.Sym_matrix.size
+let get = Parallel.Sym_matrix.get
 
 let max_abs_diff a b =
   let n = size a in
@@ -112,11 +91,8 @@ let max_abs_diff a b =
             { context = "Mining.Dist_matrix.max_abs_diff"; reason = "size mismatch" }));
   let worst = ref 0.0 in
   for i = 0 to n - 1 do
-    let ra = a.(i) and rb = b.(i) in
-    (* distance matrices are symmetric: the upper triangle (diagonal
-       included) covers every distinct entry at half the cost *)
-    for j = i to n - 1 do
-      let d = Float.abs (ra.(j) -. rb.(j)) in
+    for j = i + 1 to n - 1 do
+      let d = Float.abs (get a i j -. get b i j) in
       if d > !worst then worst := d
     done
   done;

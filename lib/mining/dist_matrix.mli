@@ -2,18 +2,9 @@
     mining algorithms ([3] [4] [5] [6]) ever see, which is precisely why
     distance-preserving encryption preserves their output. *)
 
-type t = float array array
-
-val of_fun : ?pool:Parallel.Pool.t -> int -> (int -> int -> float) -> t
-(** [of_fun n d] evaluates [d i j] for [i < j] and mirrors it.  For
-    [n >= Parallel.Sym_matrix.par_threshold] the rows are computed across
-    [pool] (default [Parallel.Pool.global ()]); [d] must be pure, and the
-    result is bit-for-bit identical to the sequential evaluation for every
-    pool size. *)
-
-val of_fun_seq : int -> (int -> int -> float) -> t
-(** Sequential reference implementation of {!of_fun} (what [of_fun]
-    degrades to on a 1-lane pool or small [n]). *)
+type t = Parallel.Sym_matrix.t
+(** The condensed upper triangle of {!Parallel.Sym_matrix}:
+    n(n-1)/2 × 8 bytes, zero diagonal, [get m i j = get m j i]. *)
 
 val of_fun_r :
   ?pool:Parallel.Pool.t ->
@@ -21,7 +12,13 @@ val of_fun_r :
   int ->
   (int -> int -> float) ->
   (t, Fault.Error.t list) result
-(** Crash-contained {!of_fun}: a row whose evaluations raise is reported
+(** [of_fun_r n d] evaluates [d i j] once for every [i < j]
+    ({!Parallel.Sym_matrix.build_r}).  For
+    [n >= Parallel.Sym_matrix.par_threshold] the rows are computed across
+    [pool] (default [Parallel.Pool.global ()]); [d] must be pure, and the
+    result is bit-for-bit identical for every pool size.
+
+    Crash-contained: a row whose evaluations raise is reported
     as [Task_failed {label = "dist_matrix.row"; index; cause}] while all
     other rows still compute; [Ok] only when the matrix is complete.
     Carries the ["mining.dist_matrix.eval"] injection point keyed by
@@ -34,15 +31,14 @@ val of_fun_r :
     build.  Cell retries never outlive the caller's
     [Parallel.Pool.with_deadline] budget. *)
 
+val of_fun : ?pool:Parallel.Pool.t -> int -> (int -> int -> float) -> t
+(** {!of_fun_r}, raising the first row's [Task_failed] error.
+    @raise Fault.Error.E when any row fails. *)
+
 val size : t -> int
 val get : t -> int -> int -> float
-
-val validate : t -> (unit, string) result
-(** Checks squareness, zero diagonal, symmetry and non-negativity,
-    scanning only the upper triangle and stopping at the first problem. *)
+(** [get m i j = get m j i]; [0.0] on the diagonal. *)
 
 val max_abs_diff : t -> t -> float
 (** Largest entrywise deviation between two matrices of the same size.
-    Both arguments are assumed symmetric (as every distance matrix is),
-    so only the upper triangle, diagonal included, is scanned.
     @raise Fault.Error.E [(Invariant _)] on a size mismatch. *)

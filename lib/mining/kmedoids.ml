@@ -7,18 +7,28 @@ let m_iterations = Obs.Registry.counter "kitdpe.mining.kmedoids.iterations"
    normalized distance to everything else (most central objects). *)
 let initial_medoids k m =
   let n = Dist_matrix.size m in
-  let col_sum = Array.init n (fun j ->
-      let s = ref 0.0 in
-      for i = 0 to n - 1 do s := !s +. Dist_matrix.get m i j done;
-      !s)
+  (* [sum_over_i f] is, for every j, the sum over i = 0 .. n-1 of
+     [f i (get m i j)], added in ascending i.  It visits the triangle
+     once in storage order, crediting cell (a, b) to j = b as term i = a
+     and to j = a as term i = b: rows before j supply the terms i < j in
+     order, row j then supplies i > j.  The skipped diagonal term is
+     [f j 0.0] = +0.0, which leaves a non-negative sum unchanged, so
+     every sum is bit-identical to the column-by-column loop. *)
+  let sum_over_i f =
+    let acc = Array.make n 0.0 in
+    for a = 0 to n - 1 do
+      for b = a + 1 to n - 1 do
+        let v = Dist_matrix.get m a b in
+        acc.(b) <- acc.(b) +. f a v;
+        acc.(a) <- acc.(a) +. f b v
+      done
+    done;
+    acc
   in
-  let score = Array.init n (fun j ->
-      let s = ref 0.0 in
-      for i = 0 to n - 1 do
-        if col_sum.(i) > 0.0 then
-          s := !s +. (Dist_matrix.get m i j /. col_sum.(i))
-      done;
-      (!s, j))
+  let col_sum = sum_over_i (fun _ v -> v) in
+  let score =
+    sum_over_i (fun i v -> if col_sum.(i) > 0.0 then v /. col_sum.(i) else 0.0)
+    |> Array.mapi (fun j s -> (s, j))
   in
   (* monomorphic comparator (PERF01): scores are finite (never nan), so
      this orders exactly like the polymorphic compare on the pairs *)

@@ -1,44 +1,48 @@
 let par_threshold = 64
 
-let build_seq n d =
-  let m = Array.make_matrix n n 0.0 in
-  for i = 0 to n - 1 do
-    let row = m.(i) in
-    for j = i + 1 to n - 1 do
-      let v = d i j in
-      row.(j) <- v;
-      m.(j).(i) <- v
-    done
-  done;
-  m
+(* the condensed upper triangle, row-major: row [i] holds (i, j) for
+   j = i+1 .. n-1 and starts at [row_start n i] *)
+type t = { n : int; cells : Float.Array.t }
 
-let build ?pool n d =
-  let pool = match pool with Some p -> p | None -> Pool.global () in
-  if n < par_threshold || Pool.size pool <= 1 then build_seq n d
-  else begin
-    let m = Array.make_matrix n n 0.0 in
-    (* Strided rows balance the triangular row costs.  Lanes write
-       disjoint cells: row [i] owns [m.(i).(j)] for [j > i] plus the
-       mirror cells [m.(j).(i)], i.e. column [i] below the diagonal. *)
-    Pool.for_range pool n (fun i ->
-        let row = m.(i) in
-        for j = i + 1 to n - 1 do
-          let v = d i j in
-          row.(j) <- v;
-          m.(j).(i) <- v
-        done);
-    m
-  end
+let row_start n i = i * (2 * n - i - 1) / 2
+
+let size t = t.n
+
+let out_of_bounds context n i j =
+  raise
+    (Fault.Error.E
+       (Fault.Error.Invariant
+          { context; reason = Printf.sprintf "(%d, %d) outside %dx%d" i j n n }))
+
+let get t i j =
+  (* (lo, hi) = (min, max) without a branch: callers such as complete-link
+     ask for (i, j) in either order at random, which a branch mispredicts *)
+  let d = i - j in
+  let neg = d land (d asr (Sys.int_size - 1)) in
+  let lo = j + neg and hi = i - neg in
+  if lo < 0 || hi >= t.n then out_of_bounds "Parallel.Sym_matrix.get" t.n i j;
+  if d = 0 then 0.0
+  else
+    (* in range: 0 <= lo < hi < n, so the cell index is below n(n-1)/2 *)
+    Float.Array.unsafe_get t.cells (row_start t.n lo + hi - lo - 1)
+
+let sub t k =
+  if k < 0 || k > t.n then out_of_bounds "Parallel.Sym_matrix.sub" t.n k k;
+  let cells = Float.Array.create (k * (k - 1) / 2) in
+  for i = 0 to k - 2 do
+    Float.Array.blit t.cells (row_start t.n i) cells (row_start k i) (k - i - 1)
+  done;
+  { n = k; cells }
 
 let build_r ?pool n d =
   let pool = match pool with Some p -> p | None -> Pool.global () in
-  let m = Array.make_matrix n n 0.0 in
+  let cells = Float.Array.create (n * (n - 1) / 2) in
+  (* the one row fill: row [i] writes only its own contiguous slice, so
+     rows on different lanes never touch the same cell *)
   let fill i =
-    let row = m.(i) in
+    let base = row_start n i - i - 1 in
     for j = i + 1 to n - 1 do
-      let v = d i j in
-      row.(j) <- v;
-      m.(j).(i) <- v
+      Float.Array.set cells (base + j) (d i j)
     done
   in
   let errors =
@@ -62,5 +66,10 @@ let build_r ?pool n d =
     else Pool.for_range_r pool n fill
   in
   match errors with
-  | [] -> Ok m
+  | [] -> Ok { n; cells }
   | errors -> Error errors
+
+let build ?pool n d =
+  match build_r ?pool n d with
+  | Ok m -> m
+  | Error errs -> raise (Fault.Error.E (snd (List.hd errs)))

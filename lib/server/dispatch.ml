@@ -34,7 +34,7 @@ let m_req_stats = Obs.Registry.counter "kitdpe.server.requests.stats"
 let m_req_health = Obs.Registry.counter "kitdpe.server.requests.health"
 let m_request_ns = Obs.Registry.histogram "kitdpe.server.request_ns"
 let m_request = Obs.Registry.sketch "kitdpe.server.request"
-let m_deadline = Obs.Registry.counter "kitdpe.server.deadline_exceeded"
+let m_deadline = Obs.Registry.counter "kitdpe.server.deadline_exceeded.running"
 let m_partial = Obs.Registry.counter "kitdpe.server.partial"
 
 let deadline_err context = Fault.Error.Deadline_exceeded { context }
@@ -114,19 +114,6 @@ let encrypt ctx (req : Proto.request) log =
 
 (* ---- mine ---- *)
 
-let run_algo (req : Proto.request) dm =
-  match req.algo with
-  | "dbscan" -> Ok (Mining.Dbscan.run { Mining.Dbscan.eps = req.eps; min_pts = 3 } dm)
-  | "kmedoids" ->
-    Ok (Mining.Kmedoids.run { Mining.Kmedoids.k = req.k; max_iter = 50 } dm)
-  | "outliers" ->
-    Ok
-      (Mining.Outlier.run { Mining.Outlier.p = 0.95; d = req.eps } dm
-      |> Array.map (fun b -> if b then 1 else 0))
-  | "clink" -> Ok (Mining.Hier.cut_k req.k dm)
-  | other ->
-    Error (Fault.Error.Protocol { reason = Printf.sprintf "unknown algo %S" other })
-
 (* an expiry that hits mid-batch arrives wrapped per task; it is still a
    whole-request deadline, not a recoverable row failure *)
 let rec deadline_rooted = function
@@ -169,25 +156,23 @@ let mine_neighbors (req : Proto.request) log ~engine =
     | Some sp -> (
       let n = List.length log in
       match
-        if engine = "oracle" then
-          Mining.Dbscan.run_oracle ~min_pts:3
-            { Mining.Dbscan.o_n = n;
-              within = (fun i j -> Index.Space.within sp ~eps:req.eps i j) }
-        else
-          let tree = Index.Vp_tree.build ~seed:"serve" sp in
-          Mining.Dbscan.run_index ~min_pts:3
-            { Mining.Dbscan.ri_n = n;
-              range = (fun i -> Index.Vp_tree.range tree ~eps:req.eps i) }
+        Mining.Dbscan.run_index ~min_pts:3
+          (if engine = "oracle" then
+             Mining.Dbscan.brute_force ~n
+               ~within:(fun i j -> Index.Space.within sp ~eps:req.eps i j)
+           else
+             let tree = Index.Vp_tree.build ~seed:"serve" sp in
+             { Mining.Dbscan.ri_n = n;
+               range = (fun i -> Index.Vp_tree.range tree ~eps:req.eps i) })
       with
       | labels -> Some (Proto.response_ok ~id:req.id (labels_body labels))
       | exception _ -> None))
 
-let mine ctx (req : Proto.request) log =
-  ignore ctx;
+let mine (req : Proto.request) algo log =
   let via_neighbors =
-    match req.engine with
-    | Some (("oracle" | "index") as engine)
-      when req.algo = "dbscan" && Index.Space.supported req.measure ->
+    match (req.engine, algo) with
+    | Some (("oracle" | "index") as engine), Mining.Algo.Dbscan
+      when Index.Space.supported req.measure ->
       mine_neighbors req log ~engine
     | _ -> None
   in
@@ -199,26 +184,24 @@ let mine ctx (req : Proto.request) log =
     else M.default_ctx
   in
   let finish dm n_total healthy_ix errors =
-    match run_algo req dm with
-    | Error e -> Proto.response_error ~id:req.id e
-    | Ok labels -> (
-      match healthy_ix with
-      | None -> Proto.response_ok ~id:req.id (labels_body labels)
-      | Some ixs ->
-        (* scatter the subset labels back; excluded queries are -1 *)
-        let full = Array.make n_total (-1) in
-        List.iteri (fun pos ix -> full.(ix) <- labels.(pos)) ixs;
-        Obs.Metric.incr m_partial;
-        Proto.response_partial ~id:req.id
-          (labels_body full
-          @ [ ("excluded",
-               J.Arr
-                 (List.filter_map
-                    (fun i ->
-                      if List.mem i ixs then None
-                      else Some (J.Num (float_of_int i)))
-                    (List.init n_total (fun i -> i)))) ])
-          ~errors)
+    let labels = Mining.Algo.run algo ~k:req.k ~eps:req.eps dm in
+    match healthy_ix with
+    | None -> Proto.response_ok ~id:req.id (labels_body labels)
+    | Some ixs ->
+      (* scatter the subset labels back; excluded queries are -1 *)
+      let full = Array.make n_total (-1) in
+      List.iteri (fun pos ix -> full.(ix) <- labels.(pos)) ixs;
+      Obs.Metric.incr m_partial;
+      Proto.response_partial ~id:req.id
+        (labels_body full
+        @ [ ("excluded",
+             J.Arr
+               (List.filter_map
+                  (fun i ->
+                    if List.mem i ixs then None
+                    else Some (J.Num (float_of_int i)))
+                  (List.init n_total (fun i -> i)))) ])
+        ~errors
   in
   match M.matrix_r mctx req.measure log with
   | Ok dm -> finish dm (List.length log) None []
@@ -291,7 +274,10 @@ let run ctx (req : Proto.request) =
       if List.length log < 2 then
         Proto.response_error ~id:req.id
           (Fault.Error.Protocol { reason = "mine needs at least 2 queries" })
-      else mine ctx req log)
+      else
+        match Mining.Algo.of_string req.algo with
+        | Error e -> Proto.response_error ~id:req.id e
+        | Ok algo -> mine req algo log)
 
 let consults_deadline = function
   | Proto.Encrypt | Proto.Mine -> true

@@ -21,10 +21,16 @@
     [Fault.Retry] budget ([request.retries]) that never outlives the
     deadline.
 
+    Mine requests name their algorithm through the shared
+    {!Mining.Algo} table; an unknown name is a [Protocol] error, answered
+    before any distance is computed.
+
     Metrics: [kitdpe.server.requests.{encrypt,mine,stats,health}],
     [kitdpe.server.request] (latency sketch),
-    [kitdpe.server.request_ns], [kitdpe.server.deadline_exceeded],
-    [kitdpe.server.partial]. *)
+    [kitdpe.server.request_ns], [kitdpe.server.partial], and
+    [kitdpe.server.deadline_exceeded.running]: requests whose deadline
+    expired while executing (expiry while still queued is counted by
+    {!Engine} as [kitdpe.server.deadline_exceeded.queued]). *)
 
 type ctx = {
   tenants : Tenant.t;

@@ -98,7 +98,7 @@ let m_resp_partial = Obs.Registry.counter "kitdpe.server.responses.partial"
 let m_resp_error = Obs.Registry.counter "kitdpe.server.responses.error"
 let m_resp_overloaded = Obs.Registry.counter "kitdpe.server.responses.overloaded"
 let m_protocol_errors = Obs.Registry.counter "kitdpe.server.protocol_errors"
-let m_queue_deadline = Obs.Registry.counter "kitdpe.server.deadline_exceeded"
+let m_queue_deadline = Obs.Registry.counter "kitdpe.server.deadline_exceeded.queued"
 
 let port t = t.bound_port
 

@@ -31,8 +31,11 @@
     Metrics: [kitdpe.server.inflight], [kitdpe.server.connections]
     (gauges); [kitdpe.server.requests], [kitdpe.server.responses]
     (plus [.ok]/[.partial]/[.error]/[.overloaded] breakdowns),
-    [kitdpe.server.protocol_errors], [kitdpe.server.deadline_exceeded]
-    (counters). *)
+    [kitdpe.server.protocol_errors] and
+    [kitdpe.server.deadline_exceeded.queued] — requests whose deadline
+    expired while they waited in the queue (counters; expiry during
+    execution is {!Dispatch}'s
+    [kitdpe.server.deadline_exceeded.running]). *)
 
 type config = {
   host : string;                   (** bind address, default loopback *)

@@ -450,11 +450,15 @@ let with_pool domains f =
   let p = Parallel.Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown p) (fun () -> f p)
 
+(* [a] is a full n×n grid, [b] a condensed matrix: every (i, j) is
+   compared, so symmetry and the zero diagonal are checked too *)
 let max_abs_diff a b =
   let d = ref 0.0 in
   Array.iteri
     (fun i row ->
-      Array.iteri (fun j v -> d := Float.max !d (Float.abs (v -. b.(i).(j)))) row)
+      Array.iteri
+        (fun j v -> d := Float.max !d (Float.abs (v -. Parallel.Sym_matrix.get b i j)))
+        row)
     a;
   !d
 

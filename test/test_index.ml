@@ -1,7 +1,7 @@
 (* Metric indexes (lib/index): exactness against brute force, structural
    determinism across pool sizes, engine equivalence for DBSCAN, the
-   CLARANS cost bound against full PAM, tiled-matrix equivalence, and
-   the ["index.build"] fault surface. *)
+   CLARANS cost bound against full PAM, and the ["index.build"] fault
+   surface. *)
 
 module F = Distance.Features
 module M = Distance.Measure
@@ -72,32 +72,6 @@ let test_vp_range_exact () =
         pool_sizes)
     kinds
 
-let test_bk_range_exact () =
-  let feats = feats_of ~n:90 ~seed:"bk" M.Edit in
-  let sp = Index.Space.of_kind Index.Space.Edit feats in
-  List.iter
-    (fun domains ->
-      with_pool domains (fun pool ->
-          let t = Index.Bk_tree.build ~pool ~seed:"t" sp in
-          for q = 0 to Index.Space.size sp - 1 do
-            List.iter
-              (fun eps ->
-                Alcotest.(check (list int))
-                  (Printf.sprintf "bk d%d q%d eps%g" domains q eps)
-                  (brute sp ~eps q)
-                  (Index.Bk_tree.range t ~eps q))
-              [ 0.35; 0.05 ]
-          done))
-    pool_sizes
-
-let test_bk_requires_edit () =
-  let feats = feats_of ~n:8 ~seed:"bk-kind" M.Token in
-  let sp = Index.Space.of_kind Index.Space.Token feats in
-  check_bool "non-edit rejected" true
-    (match Index.Bk_tree.build ~seed:"t" sp with
-     | _ -> false
-     | exception Invalid_argument _ -> true)
-
 (* ---- determinism: bit-identical trees for every pool size ---- *)
 
 let test_fingerprint_pool_independent () =
@@ -115,19 +89,7 @@ let test_fingerprint_pool_independent () =
       in
       List.iter
         (fun fp -> check_string (name ^ " vp fingerprint") (List.hd fps) fp)
-        (List.tl fps);
-      if Index.Space.is_int_metric sp then begin
-        let fps =
-          List.map
-            (fun domains ->
-              with_pool domains (fun pool ->
-                  Index.Bk_tree.fingerprint (Index.Bk_tree.build ~pool ~seed:"t" sp)))
-            pool_sizes
-        in
-        List.iter
-          (fun fp -> check_string (name ^ " bk fingerprint") (List.hd fps) fp)
-          (List.tl fps)
-      end)
+        (List.tl fps))
     kinds
 
 let test_seed_changes_tree () =
@@ -150,9 +112,8 @@ let test_dbscan_engines_identical () =
       let dm = M.matrix M.default_ctx m log in
       let via_matrix = Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 3 } dm in
       let via_oracle =
-        Mining.Dbscan.run_oracle ~min_pts:3
-          { Mining.Dbscan.o_n = n;
-            within = (fun i j -> Index.Space.within sp ~eps i j) }
+        Mining.Dbscan.run_index ~min_pts:3
+          (Mining.Dbscan.brute_force ~n ~within:(fun i j -> Index.Space.within sp ~eps i j))
       in
       let tree = Index.Vp_tree.build ~seed:"t" sp in
       let via_index =
@@ -174,9 +135,9 @@ let test_oracle_probe_counter () =
   let probes = Obs.Registry.counter "kitdpe.mining.dbscan.oracle_probes" in
   let before = Obs.Metric.value probes in
   ignore
-    (Mining.Dbscan.run_oracle ~min_pts:3
-       { Mining.Dbscan.o_n = 20;
-         within = (fun i j -> Index.Space.within sp ~eps:0.4 i j) });
+    (Mining.Dbscan.run_index ~min_pts:3
+       (Mining.Dbscan.brute_force ~n:20
+          ~within:(fun i j -> Index.Space.within sp ~eps:0.4 i j)));
   let spent = Obs.Metric.value probes - before in
   check_bool "probes counted per scan" true (spent >= 19 && spent mod 19 = 0)
 
@@ -241,58 +202,6 @@ let test_clarans_deterministic () =
   in
   check_labels "same rand, same labels" (run ()) (run ())
 
-(* ---- tiled matrix ---- *)
-
-let test_tile_matrix_equiv () =
-  let m = M.Token in
-  let log = gen_log ~n:37 ~seed:"tiles" m in
-  let dm = M.matrix M.default_ctx m log in
-  let n = Mining.Dist_matrix.size dm in
-  let d i j = Mining.Dist_matrix.get dm i j in
-  (* a tile edge that does not divide n: exercises ragged border tiles *)
-  let tm = Mining.Tile_matrix.create ~tile:8 n d in
-  check_bool "dense equal (lazy)" true
-    (Mining.Dist_matrix.max_abs_diff dm (Mining.Tile_matrix.to_dense tm) = 0.0);
-  check_bool "symmetric access" true
-    (Mining.Tile_matrix.get tm 3 20 = Mining.Tile_matrix.get tm 20 3);
-  let tm2 = Mining.Tile_matrix.create ~tile:8 n d in
-  Mining.Tile_matrix.fill tm2;
-  check_bool "dense equal (eager fill)" true
-    (Mining.Dist_matrix.max_abs_diff dm (Mining.Tile_matrix.to_dense tm2) = 0.0);
-  let st = Mining.Tile_matrix.stats tm2 in
-  check_int "all tiles resident, no spill dir" st.Mining.Tile_matrix.tiles
-    st.Mining.Tile_matrix.resident
-
-let test_tile_matrix_spill () =
-  let n = 40 in
-  let d i j = Float.abs (float_of_int i -. float_of_int j) /. float_of_int n in
-  let dir = Filename.temp_file "kitdpe_spill" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
-      let tm =
-        Mining.Tile_matrix.create ~tile:8 ~spill_dir:dir ~resident_cap:2 n d
-      in
-      Mining.Tile_matrix.fill tm;
-      let st = Mining.Tile_matrix.stats tm in
-      check_bool "cap respected" true (st.Mining.Tile_matrix.resident <= 2);
-      check_bool "something spilled" true (st.Mining.Tile_matrix.spilled > 0);
-      (* every value still exact after spill/reload churn *)
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if Mining.Tile_matrix.get tm i j <> (if i = j then 0.0 else d (min i j) (max i j))
-          then ok := false
-        done
-      done;
-      check_bool "values exact through spill" true !ok;
-      Mining.Tile_matrix.dispose tm;
-      check_bool "spill files removed" true (Array.length (Sys.readdir dir) = 0))
-
 (* ---- faults ---- *)
 
 let with_faults spec f =
@@ -344,9 +253,7 @@ let test_build_r_contains () =
 let () =
   Alcotest.run "index"
     [ ( "range",
-        [ Alcotest.test_case "vp = brute force" `Quick test_vp_range_exact;
-          Alcotest.test_case "bk = brute force" `Quick test_bk_range_exact;
-          Alcotest.test_case "bk needs edit" `Quick test_bk_requires_edit ] );
+        [ Alcotest.test_case "vp = brute force" `Quick test_vp_range_exact ] );
       ( "determinism",
         [ Alcotest.test_case "fingerprint pool-independent" `Quick
             test_fingerprint_pool_independent;
@@ -357,8 +264,5 @@ let () =
       ( "clarans",
         [ Alcotest.test_case "cost within bound of PAM" `Quick test_clarans_cost_bound;
           Alcotest.test_case "deterministic" `Quick test_clarans_deterministic ] );
-      ( "tiles",
-        [ Alcotest.test_case "equivalent to dense" `Quick test_tile_matrix_equiv;
-          Alcotest.test_case "spill round-trip" `Quick test_tile_matrix_spill ] );
       ( "faults",
         [ Alcotest.test_case "build_r contains" `Quick test_build_r_contains ] ) ]

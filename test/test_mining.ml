@@ -9,13 +9,14 @@ let blobs =
       Float.abs (coords.(i) -. coords.(j)))
 
 let test_dist_matrix () =
-  check_bool "valid" true (Mining.Dist_matrix.validate blobs = Ok ());
   check_int "size" 7 (Mining.Dist_matrix.size blobs);
-  check_float "symmetric entry" 10.0 (Mining.Dist_matrix.get blobs 0 3);
-  let bad = [| [| 0.0; 1.0 |]; [| 2.0; 0.0 |] |] in
-  check_bool "asymmetry detected" true (Mining.Dist_matrix.validate bad <> Ok ());
-  let neg = [| [| 0.0; -1.0 |]; [| -1.0; 0.0 |] |] in
-  check_bool "negative detected" true (Mining.Dist_matrix.validate neg <> Ok ());
+  check_float "upper entry" 10.0 (Mining.Dist_matrix.get blobs 0 3);
+  check_float "symmetric entry" 10.0 (Mining.Dist_matrix.get blobs 3 0);
+  check_float "zero diagonal" 0.0 (Mining.Dist_matrix.get blobs 6 6);
+  check_bool "out of range rejected" true
+    (match Mining.Dist_matrix.get blobs 0 7 with
+     | _ -> false
+     | exception Fault.Error.E (Fault.Error.Invariant _) -> true);
   check_float "max_abs_diff zero" 0.0 (Mining.Dist_matrix.max_abs_diff blobs blobs)
 
 let test_dbscan () =
@@ -373,11 +374,23 @@ let pr5_identity =
   [ QCheck.Test.make ~name:"dbscan oracle = dbscan matrix" ~count:150 arb_eps
       (fun (m, eps) ->
         let oracle =
-          { Mining.Dbscan.o_n = Mining.Dist_matrix.size m;
-            within = (fun i j -> Mining.Dist_matrix.get m i j <= eps) }
+          Mining.Dbscan.brute_force ~n:(Mining.Dist_matrix.size m)
+            ~within:(fun i j -> Mining.Dist_matrix.get m i j <= eps)
         in
-        Mining.Dbscan.run_oracle ~min_pts:2 oracle
+        Mining.Dbscan.run_index ~min_pts:2 oracle
         = Mining.Dbscan.run { Mining.Dbscan.eps; min_pts = 2 } m);
+    QCheck.Test.make ~name:"outliers one pass = per-row scan" ~count:150 arb_eps
+      (fun (m, d) ->
+        let n = Mining.Dist_matrix.size m in
+        let per_row =
+          Array.init n (fun i ->
+              let far = ref 0 in
+              for j = 0 to n - 1 do
+                if j <> i && Mining.Dist_matrix.get m i j > d then incr far
+              done;
+              float_of_int !far >= 0.5 *. float_of_int (n - 1))
+        in
+        Mining.Outlier.run { Mining.Outlier.p = 0.5; d } m = per_row);
     QCheck.Test.make ~name:"kmedoids abandon = full reference" ~count:150 arb
       (fun m ->
         Mining.Kmedoids.run { Mining.Kmedoids.k = 2; max_iter = 30 } m

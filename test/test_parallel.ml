@@ -125,16 +125,35 @@ let pseudo_distance i j =
   (* pure, irregular, cheap *)
   Float.abs (sin (float_of_int ((i * 7919) lxor (j * 104729))))
 
-let check_same_matrix name a b =
-  Alcotest.(check bool) name true (a = b)
+(* the reference: a plain loop over the full n×n grid, mirrored, zero
+   diagonal *)
+let plain_matrix n d =
+  Array.init n (fun i ->
+      Array.init n (fun j ->
+          if i = j then 0.0 else if i < j then d i j else d j i))
+
+(* every (i, j), both orders and the diagonal included, bit-for-bit *)
+let agrees reference m =
+  let n = Array.length reference in
+  Mining.Dist_matrix.size m = n
+  && Array.for_all Fun.id
+       (Array.init n (fun i ->
+            Array.for_all Fun.id
+              (Array.init n (fun j ->
+                   Int64.equal
+                     (Int64.bits_of_float reference.(i).(j))
+                     (Int64.bits_of_float (Mining.Dist_matrix.get m i j))))))
+
+let check_agrees name reference m =
+  Alcotest.(check bool) name true (agrees reference m)
 
 let test_of_fun_matches_seq () =
   let n = 200 in
-  let reference = Mining.Dist_matrix.of_fun_seq n pseudo_distance in
+  let reference = plain_matrix n pseudo_distance in
   List.iter
     (fun domains ->
       with_pool ~domains (fun p ->
-          check_same_matrix
+          check_agrees
             (Printf.sprintf "n=%d domains=%d" n domains)
             reference
             (Mining.Dist_matrix.of_fun ~pool:p n pseudo_distance)))
@@ -142,11 +161,31 @@ let test_of_fun_matches_seq () =
   with_pool ~domains:4 (fun p ->
       List.iter
         (fun n ->
-          check_same_matrix
+          check_agrees
             (Printf.sprintf "small n=%d" n)
-            (Mining.Dist_matrix.of_fun_seq n pseudo_distance)
+            (plain_matrix n pseudo_distance)
             (Mining.Dist_matrix.of_fun ~pool:p n pseudo_distance))
         [ 0; 1; 2; 5; 63; 65 ])
+
+(* the condensed layout against the plain loop, at the edges of the
+   parallel threshold and at random sizes, on 1, 2 and 4 lanes *)
+let condensed_matches_plain =
+  let sizes =
+    QCheck.Gen.(oneof [ oneofl [ 0; 1; 2; 63; 64; 65 ]; int_range 0 150 ])
+  in
+  let arb =
+    QCheck.make ~print:QCheck.Print.(pair int int)
+      QCheck.Gen.(pair sizes (int_range 0 1_000_000))
+  in
+  QCheck.Test.make ~name:"condensed get = plain loop" ~count:60 arb
+    (fun (n, salt) ->
+      let d i j = pseudo_distance (i + salt) j in
+      let reference = plain_matrix n d in
+      List.for_all
+        (fun domains ->
+          with_pool ~domains (fun pool ->
+              agrees reference (Mining.Dist_matrix.of_fun ~pool n d)))
+        [ 1; 2; 4 ])
 
 let test_measure_matrix_matches_seq () =
   let log =
@@ -159,45 +198,24 @@ let test_measure_matrix_matches_seq () =
   List.iter
     (fun m ->
       let reference =
-        Mining.Dist_matrix.of_fun_seq (Array.length qs) (fun i j ->
+        plain_matrix (Array.length qs) (fun i j ->
             Distance.Measure.compute ctx m qs.(i) qs.(j))
       in
       with_pool ~domains:3 (fun p ->
-          check_same_matrix
+          check_agrees
             ("measure " ^ Distance.Measure.to_string m)
             reference
             (Distance.Measure.matrix ~pool:p ctx m log)))
     [ Distance.Measure.Token; Distance.Measure.Edit;
       Distance.Measure.Structure; Distance.Measure.Access ]
 
-(* ---- dist-matrix satellites: validate / max_abs_diff ---- *)
-
-let test_validate () =
-  let ok = Mining.Dist_matrix.of_fun_seq 5 pseudo_distance in
-  Alcotest.(check bool) "valid" true (Mining.Dist_matrix.validate ok = Ok ());
-  let asym = Array.map Array.copy ok in
-  asym.(1).(3) <- asym.(1).(3) +. 1.0;
-  Alcotest.(check bool) "asymmetry detected" true
-    (Result.is_error (Mining.Dist_matrix.validate asym));
-  let neg = Array.map Array.copy ok in
-  neg.(0).(2) <- -1.0;
-  neg.(2).(0) <- -1.0;
-  Alcotest.(check bool) "negative detected" true
-    (Result.is_error (Mining.Dist_matrix.validate neg));
-  let diag = Array.map Array.copy ok in
-  diag.(2).(2) <- 0.5;
-  Alcotest.(check bool) "diagonal detected" true
-    (Result.is_error (Mining.Dist_matrix.validate diag));
-  let ragged = [| [| 0.0; 1.0 |]; [| 1.0 |] |] in
-  Alcotest.(check bool) "ragged detected" true
-    (Result.is_error (Mining.Dist_matrix.validate ragged))
-
 let test_max_abs_diff () =
-  let a = Mining.Dist_matrix.of_fun_seq 6 pseudo_distance in
+  let a = Mining.Dist_matrix.of_fun 6 pseudo_distance in
   Alcotest.(check (float 0.0)) "self" 0.0 (Mining.Dist_matrix.max_abs_diff a a);
-  let b = Array.map Array.copy a in
-  b.(2).(4) <- b.(2).(4) +. 0.25;
-  b.(4).(2) <- b.(2).(4);
+  let b =
+    Mining.Dist_matrix.of_fun 6 (fun i j ->
+        pseudo_distance i j +. if (i, j) = (2, 4) then 0.25 else 0.0)
+  in
   Alcotest.(check (float 1e-12)) "perturbed" 0.25
     (Mining.Dist_matrix.max_abs_diff a b)
 
@@ -496,9 +514,9 @@ let () =
            test_of_fun_matches_seq;
          Alcotest.test_case "measure matrix == sequential" `Quick
            test_measure_matrix_matches_seq;
-         Alcotest.test_case "validate short-circuits" `Quick test_validate;
          Alcotest.test_case "max_abs_diff upper triangle" `Quick
-           test_max_abs_diff ]);
+           test_max_abs_diff;
+         QCheck_alcotest.to_alcotest condensed_matches_plain ]);
       ("caches",
        [ Alcotest.test_case "OPE memo transparent" `Quick
            test_ope_cache_transparent;

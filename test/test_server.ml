@@ -240,6 +240,11 @@ let call_ok c req =
   | Ok resp -> resp
   | Error e -> Alcotest.failf "call: %s" (Fault.Error.to_string e)
 
+let collect_ok c id =
+  match Client.collect c id with
+  | Ok resp -> resp
+  | Error e -> Alcotest.failf "collect: %s" (Fault.Error.to_string e)
+
 let test_engine_ops () =
   with_engine (fun t ->
       with_client t (fun c ->
@@ -337,6 +342,72 @@ let test_engine_queue_deadline () =
           let after = call_ok c (request ~id:3 ~op:Proto.Mine ()) in
           check_str "lanes released after expiry" "ok"
             (Proto.response_status after)))
+
+let dispatch_ctx () =
+  { Server.Dispatch.tenants = Server.Tenant.create ~master:"test-server";
+    queue_depth = (fun () -> 0);
+    inflight = (fun () -> 0);
+    draining = (fun () -> false) }
+
+let mine_request ?(algo = "clink") ?deadline_ms queries =
+  { Proto.id = 1; op = Proto.Mine; tenant = "t"; measure = Distance.Measure.Token;
+    algo; k = 2; eps = 0.45; deadline_ms; retries = 1; engine = None; queries }
+
+let test_unknown_algo_typed () =
+  (* an unknown algorithm name is refused with a typed protocol error
+     naming the known ones, not mined as complete-link *)
+  let resp = Server.Dispatch.handle (dispatch_ctx ()) (mine_request ~algo:"nope" sky_queries) in
+  check_str "unknown algo -> error" "error" (Proto.response_status resp);
+  check_bool "kind protocol" true
+    (Option.bind (J.member "error_kind" resp) J.to_str = Some "protocol");
+  (match Mining.Algo.of_string "nope" with
+   | Error e ->
+     check_bool "algo table: typed" true (is_protocol e);
+     check_bool "the table's error on the wire" true
+       (Option.bind (J.member "error" resp) J.to_str = Some (Fault.Error.to_string e))
+   | Ok _ -> Alcotest.fail "unknown algo accepted");
+  List.iter
+    (fun name ->
+      check_bool (name ^ " known") true (Result.is_ok (Mining.Algo.of_string name)))
+    [ "dbscan"; "kmedoids"; "outliers"; "clink" ]
+
+let deadline_counters () =
+  ( Obs.Metric.value (Obs.Registry.counter "kitdpe.server.deadline_exceeded.queued"),
+    Obs.Metric.value (Obs.Registry.counter "kitdpe.server.deadline_exceeded.running") )
+
+let test_deadline_counters_split () =
+  (* expiry during execution: Dispatch counts it as running *)
+  let q0, r0 = deadline_counters () in
+  let resp =
+    Server.Dispatch.handle ~deadline_ns:1 (dispatch_ctx ()) (mine_request sky_queries)
+  in
+  check_bool "expired run typed" true
+    (Option.bind (J.member "error_kind" resp) J.to_str = Some "deadline");
+  let q1, r1 = deadline_counters () in
+  check_int "running counted" (r0 + 1) r1;
+  check_int "queued untouched by execution expiry" q0 q1;
+  (* expiry in the queue: one worker busy with a long mine, the next
+     request waits past its 1 ms budget; Engine counts it as queued *)
+  let long =
+    List.init 150 (fun i ->
+        Printf.sprintf
+          "SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN %d AND %d" i (i + 50))
+  in
+  with_engine ~cfg:{ test_config with Engine.workers = 1 } (fun t ->
+      with_client t (fun c ->
+          match
+            ( Client.send c (request ~id:1 ~queries:long ()),
+              Client.send c (request ~id:2 ~deadline_ms:1 ()) )
+          with
+          | Ok a, Ok b ->
+            check_str "busy mine ok" "ok" (Proto.response_status (collect_ok c a));
+            let late = collect_ok c b in
+            check_bool "queued expiry typed" true
+              (Option.bind (J.member "error_kind" late) J.to_str = Some "deadline")
+          | Error e, _ | _, Error e -> Alcotest.failf "send: %s" (Fault.Error.to_string e)));
+  let q2, r2 = deadline_counters () in
+  check_int "queued counted" (q1 + 1) q2;
+  check_int "running untouched by queue expiry" r1 r2
 
 let test_engine_degraded_mine () =
   (* armed feature builds fail for some queries: the response is partial
@@ -643,6 +714,9 @@ let () =
          Alcotest.test_case "mid-request disconnect" `Quick
            test_engine_mid_request_disconnect;
          Alcotest.test_case "queue deadline" `Quick test_engine_queue_deadline;
+         Alcotest.test_case "deadline counters split" `Quick
+           test_deadline_counters_split;
+         Alcotest.test_case "unknown algo typed" `Quick test_unknown_algo_typed;
          Alcotest.test_case "degraded mine partial" `Quick
            test_engine_degraded_mine;
          Alcotest.test_case "drain answers backlog" `Quick
