@@ -10,7 +10,17 @@ type key
 val key_of_master : master:string -> purpose:string -> key
 
 val encrypt : key -> string -> string
-(** Layout: SIV (16) ‖ CT (|msg|).  Deterministic. *)
+(** Layout: SIV (16) ‖ CT (|msg|).  Deterministic.
+
+    Each key carries a transparent {!Memo} of past encryptions, as
+    {!Ope} keys do: a hit returns exactly the ciphertext the SIV + CTR
+    computation would, and only skips it.  A hit reveals that a
+    plaintext repeated, which equal DET ciphertexts reveal anyway.
+    Plaintexts longer than 64 bytes bypass the memo, which bounds its
+    size: at worst, on a 64-bit host, each of its 2^16 entries holds a
+    64-byte plaintext (80 B), its ciphertext (96 B) and a bucket
+    (32 B), 208 B in all, so 13 MiB plus a 256 KiB bucket array: about
+    13.3 MiB per key. *)
 
 val decrypt : key -> string -> string option
 (** [None] if the ciphertext is malformed or its SIV does not re-verify.
@@ -21,24 +31,12 @@ val token : key -> string -> string
     testable pseudonym.  Used where only the pseudonym is needed (e.g.
     relation names inside query text). *)
 
-type cache
-(** A bounded, domain-safe plaintext → ciphertext memo.  Because DET is
-    deterministic the cache is transparent: [encrypt_cached c k m] always
-    equals [encrypt k m].  Used by the bulk database encryptor, where
-    column values repeat heavily. *)
+type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int; size : int }
+(** Per-key memo telemetry ({!Memo.stats}): [hits]/[misses] count
+    {!encrypt} lookups; a plaintext too long for the memo is not looked
+    up. *)
 
-val make_cache : ?bound:int -> unit -> cache
-(** [bound] (default 65536) caps the entry count; the cache is dropped
-    wholesale when full. *)
-
-val encrypt_cached : cache -> key -> string -> string
-
-type cache_stats = { hits : int; misses : int; evictions : int; size : int }
-(** Per-cache memo telemetry: [hits]/[misses] count {!encrypt_cached}
-    lookups, [evictions] counts entries dropped by the bound, [size] is
-    the current entry count. *)
-
-val cache_stats : cache -> cache_stats
-(** Snapshot of this cache's counters.  The same numbers, aggregated over
-    every DET cache in the process, are published to the [Obs] registry
-    as [kitdpe.crypto.det.cache_{hits,misses,evictions}]. *)
+val cache_stats : key -> cache_stats
+(** Snapshot of this key's memo counters.  The same numbers, aggregated
+    over every DET key in the process, are published to the [Obs]
+    registry as [kitdpe.crypto.det.cache_{hits,misses,evictions}]. *)

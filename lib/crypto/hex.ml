@@ -1,4 +1,14 @@
-let encode = Sha256.to_hex
+let digits = "0123456789abcdef"
+
+let encode s =
+  let n = String.length s in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let b = Char.code s.[i] in
+    Bytes.set out (2 * i) digits.[b lsr 4];
+    Bytes.set out ((2 * i) + 1) digits.[b land 15]
+  done;
+  Bytes.unsafe_to_string out
 
 let nibble c =
   match c with

@@ -50,10 +50,9 @@ val cache_clear : key -> unit
     count as an eviction in {!cache_stats} — it is an explicit diagnostic
     reset, not capacity pressure. *)
 
-type cache_stats = { hits : int; misses : int; evictions : int; size : int }
-(** Per-key memo telemetry: [hits]/[misses] count {!encrypt} lookups,
-    [evictions] counts entries dropped by the bound (the memo drops
-    wholesale when full), [size] is the current entry count. *)
+type cache_stats = Memo.stats = { hits : int; misses : int; evictions : int; size : int }
+(** Per-key memo telemetry ({!Memo.stats}): [hits]/[misses] count
+    {!encrypt} lookups. *)
 
 val cache_stats : key -> cache_stats
 (** Snapshot of this key's memo counters.  The same numbers, aggregated

@@ -69,9 +69,4 @@ let digest msg =
   done;
   String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - i mod 4))) land 0xff))
 
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let hex msg = to_hex (digest msg)
+let hex msg = Hex.encode (digest msg)

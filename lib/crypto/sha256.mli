@@ -8,6 +8,3 @@ val digest : string -> string
 
 val hex : string -> string
 (** [hex msg] is the lowercase hex encoding of [digest msg]. *)
-
-val to_hex : string -> string
-(** Hex-encode an arbitrary byte string. *)

@@ -385,10 +385,8 @@ let row_rng ?(attempt = 0) t ~rel i =
 let column_encoder t ~rel ~attr =
   let nonnull f ~rng ~row v = if Value.is_null v then v else f ~rng ~row v in
   let det_with key =
-    let cache = Crypto.Det.make_cache () in
     nonnull (fun ~rng:_ ~row:_ v ->
-        Value.Vstring
-          (Crypto.Hex.encode (Crypto.Det.encrypt_cached cache key (value_render v))))
+        Value.Vstring (Crypto.Hex.encode (Crypto.Det.encrypt key (value_render v))))
   in
   match value_class t ~attr with
   | Scheme.C_det ->

@@ -69,16 +69,16 @@ val column_encoder :
   -> rng:Crypto.Drbg.t -> row:int -> Minidb.Value.t -> Minidb.Value.t
 (** [column_encoder t ~rel ~attr] resolves the column's keys (not
     domain-safe; call it before going parallel) and returns a closure
-    over immutable key material that encrypts one value, drawing any
+    over domain-safe key material that encrypts one value, drawing any
     randomness from [rng].  Deterministic classes (DET, OPE and their
-    join variants) keep a transparent memo, so repeated values cost one
-    table lookup.  HOM cells ignore [rng] and derive their randomness
-    from the {!hom_cell_key} of [(rel, row, attr)] instead, so their
-    noise factor can be precomputed into the encryptor's noise pool by
-    any lane in any order (or not at all) without changing a single
-    ciphertext bit.  Ciphertexts agree with {!encrypt_value} for DET/OPE
-    classes; PROB/HOM ciphertexts are fresh randomizations under the
-    same keys.
+    join variants) go through their key's transparent memo, so repeated
+    values cost one table lookup.  HOM cells ignore [rng] and derive
+    their randomness from the {!hom_cell_key} of [(rel, row, attr)]
+    instead, so their noise factor can be precomputed into the
+    encryptor's noise pool by any lane in any order (or not at all)
+    without changing a single ciphertext bit.  Ciphertexts agree with
+    {!encrypt_value} for DET/OPE classes; PROB/HOM ciphertexts are
+    fresh randomizations under the same keys.
     @raise Encrypt_error as {!encrypt_value}. *)
 
 (** {2 HOM noise pool}

@@ -6,8 +6,9 @@ type merge = {
   height : float;
 }
 
-(* naive O(n^3) agglomeration over the Lance–Williams style cluster
-   distance recomputation; plenty fast for query-log sizes *)
+(* naive O(n^3) agglomeration: each merge step rescans every cluster
+   pair and recomputes its complete, single or average linkage from the
+   member lists *)
 
 type cluster = { id : int; members : int list }
 

@@ -1,6 +1,8 @@
-(** Agglomerative hierarchical clustering with the complete-link criterion
-    (Defays [3]): the distance between clusters is the maximum pairwise
-    distance, merged bottom-up. *)
+(** Agglomerative hierarchical clustering, merged bottom-up by naive
+    O(n^3) agglomeration: every step rescans all cluster pairs and
+    recomputes each pair's linkage from the member lists.  The linkage
+    is complete (maximum pairwise distance, the default), single
+    (minimum) or average (mean). *)
 
 type linkage = Complete | Single | Average
 

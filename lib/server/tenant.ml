@@ -3,8 +3,8 @@
    One master keyring serves every tenant: tenant [ns] works under
    [Keyring.derive master ns], so tenants share no derivable key
    material.  Encryptors are cached per (tenant, measure) for the life
-   of the process — their OPE/DET memo caches and Paillier noise pools
-   stay warm across requests, which is the entire point of an always-on
+   of the process — the memos their DET and OPE keys own and their
+   Paillier noise pools stay warm across requests, which is the entire point of an always-on
    server over a per-invocation CLI.
 
    The scheme for a (tenant, measure) pair is fixed by the first log it

@@ -3,8 +3,10 @@
     One master passphrase; tenant [ns] works under
     [Crypto.Keyring.derive master ns], so tenants share no derivable
     key material.  Encryptors are cached per (tenant, measure) for the
-    process lifetime — OPE/DET memo caches and Paillier noise pools
-    stay warm across requests.
+    process lifetime, and with them their DET and OPE keys: the bounded
+    memo each such key owns and the Paillier noise pools stay warm
+    across requests, so a token seen in an earlier request costs one
+    table lookup.
 
     The scheme of a (tenant, measure) pair is fixed by the first log it
     sees; later queries outside its capabilities surface as typed error

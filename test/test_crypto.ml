@@ -2,7 +2,7 @@ let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let hex = Crypto.Sha256.to_hex
+let hex = Crypto.Hex.encode
 
 (* ---- SHA-256 against FIPS 180-4 vectors ---- *)
 

@@ -500,6 +500,43 @@ let dpe_properties =
         let enc = Dpe.Encryptor.create keyring (scheme_for M.Access log) in
         (Dpe.Verdict.check_dpe enc M.Access log).Dpe.Verdict.ok) ]
 
+(* property: the keys' memos are invisible on the query path.  Few
+   templates plus a replayed prefix make tokens repeat within a log. *)
+let memo_transparency_props =
+  let arb =
+    QCheck.make
+      ~print:(fun (m, seed, n) -> Printf.sprintf "%s seed=%d n=%d" (M.to_string m) seed n)
+      QCheck.Gen.(
+        triple (oneofl [ M.Token; M.Edit; M.Result ]) small_nat (int_range 1 12))
+  in
+  [ QCheck.Test.make ~name:"memo transparent: cold = warm = per-query (token/edit/result)"
+      ~count:30 arb
+      (fun (m, seed, n) ->
+        let base =
+          Workload.Gen_query.skyserver_log
+            { Workload.Gen_query.n; templates = 2; seed = "memo-" ^ string_of_int seed;
+              caps = Workload.Gen_query.caps_for_measure m }
+        in
+        let log = base @ List.filteri (fun i _ -> i < 4) base in
+        let scheme = scheme_for m log in
+        let text = List.map Sqlir.Printer.to_string in
+        let enc = Dpe.Encryptor.create keyring scheme in
+        let cold = Dpe.Encryptor.encrypt_log enc log in
+        let warm = Dpe.Encryptor.encrypt_log enc log in
+        let per_query =
+          List.map
+            (fun q -> Dpe.Encryptor.encrypt_query (Dpe.Encryptor.create keyring scheme) q)
+            log
+        in
+        text cold = text warm
+        && text cold = text per_query
+        && List.for_all2
+             (fun q c ->
+               match Dpe.Encryptor.decrypt_query enc c with
+               | Ok q' -> Ast.equal_query q q'
+               | Error _ -> false)
+             log cold) ]
+
 let () =
   Alcotest.run "dpe"
     [ ("taxonomy", [ Alcotest.test_case "Fig. 1 lattice" `Quick test_taxonomy ]);
@@ -525,4 +562,4 @@ let () =
          Alcotest.test_case "decoy injection" `Slow test_decoys;
          Alcotest.test_case "key rotation" `Quick test_key_rotation ]);
       ("properties",
-       List.map (fun t -> QCheck_alcotest.to_alcotest t) (value_roundtrip_props @ dpe_properties)) ]
+       List.map (fun t -> QCheck_alcotest.to_alcotest t) (value_roundtrip_props @ dpe_properties @ memo_transparency_props)) ]

@@ -137,6 +137,20 @@ let test_point_raises () =
       | exception E.E (E.Injected { point = "x.y.z"; key = 5 }) -> ()
       | exception e -> Alcotest.fail (Printexc.to_string e))
 
+(* the DET point sits on the memo's miss path, before the memo write *)
+let test_det_memo_unpoisoned () =
+  let key () = Crypto.Det.key_of_master ~master:"fault" ~purpose:"det" in
+  let k = key () in
+  with_faults "crypto.det.encrypt=always" (fun () ->
+      match Crypto.Det.encrypt k "v" with
+      | _ -> Alcotest.fail "armed DET point did not raise"
+      | exception E.E (E.Injected { point = "crypto.det.encrypt"; _ }) -> ());
+  check_int "failed call left no entry" 0 (Crypto.Det.cache_stats k).size;
+  let ct = Crypto.Det.encrypt (key ()) "v" in
+  check_string "disarmed call computes the real value" ct (Crypto.Det.encrypt k "v");
+  with_faults "crypto.det.encrypt=always" (fun () ->
+      check_string "a memo hit skips the point" ct (Crypto.Det.encrypt k "v"))
+
 let test_protect () =
   (match Fault.protect ~context:"t" (fun () -> 41 + 1) with
    | Ok 42 -> ()
@@ -427,6 +441,8 @@ let () =
           Alcotest.test_case "prob deterministic" `Quick
             test_prob_deterministic;
           Alcotest.test_case "point raises" `Quick test_point_raises;
+          Alcotest.test_case "DET memo unpoisoned" `Quick
+            test_det_memo_unpoisoned;
           Alcotest.test_case "protect" `Quick test_protect ] );
       ( "pool",
         [ Alcotest.test_case "task injection contained" `Quick

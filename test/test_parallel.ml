@@ -256,17 +256,48 @@ let test_ope_monotone () =
   Alcotest.(check bool) "in range" true
     (Array.for_all (fun c -> c >= 0 && c < 1 lsl 20) cs)
 
+let det_cache_key () = Crypto.Det.key_of_master ~master:"det-cache" ~purpose:"t"
+
 let test_det_cache_transparent () =
-  let k = Crypto.Det.key_of_master ~master:"det-cache" ~purpose:"t" in
-  let cache = Crypto.Det.make_cache ~bound:8 () in
+  let k = det_cache_key () in
+  (* a fresh key starts with an empty memo, so it always computes *)
+  let cold msg = Crypto.Det.encrypt (det_cache_key ()) msg in
   List.iter
     (fun msg ->
-      let plain = Crypto.Det.encrypt k msg in
-      Alcotest.(check string) "miss = plain encrypt" plain
-        (Crypto.Det.encrypt_cached cache k msg);
-      Alcotest.(check string) "hit = plain encrypt" plain
-        (Crypto.Det.encrypt_cached cache k msg))
-    (List.init 40 (fun i -> "msg-" ^ string_of_int (i mod 13)))
+      let plain = cold msg in
+      Alcotest.(check string) "first call = cold key" plain
+        (Crypto.Det.encrypt k msg);
+      Alcotest.(check string) "hit = cold key" plain
+        (Crypto.Det.encrypt k msg))
+    (List.init 40 (fun i -> "msg-" ^ string_of_int (i mod 13)));
+  let s = Crypto.Det.cache_stats k in
+  Alcotest.(check int) "one miss per distinct plaintext" 13 s.misses;
+  Alcotest.(check int) "every repeat hits" 67 s.hits;
+  Alcotest.(check int) "memo size" 13 s.size;
+  (* plaintexts past the length cap bypass the memo *)
+  let long = String.make 65 'x' in
+  Alcotest.(check string) "long plaintext" (cold long) (Crypto.Det.encrypt k long);
+  Alcotest.(check string) "long plaintext again" (cold long)
+    (Crypto.Det.encrypt k long);
+  Alcotest.(check int) "long plaintext not memoized" 13
+    (Crypto.Det.cache_stats k).size
+
+let test_det_cache_eviction () =
+  let k = det_cache_key () in
+  let bound = 1 lsl 16 in
+  let first = Crypto.Det.encrypt k "m0" in
+  for i = 1 to bound - 1 do ignore (Crypto.Det.encrypt k ("m" ^ string_of_int i)) done;
+  let s = Crypto.Det.cache_stats k in
+  Alcotest.(check int) "full" bound s.size;
+  Alcotest.(check int) "no eviction yet" 0 s.evictions;
+  ignore (Crypto.Det.encrypt k "one more");
+  let s = Crypto.Det.cache_stats k in
+  Alcotest.(check int) "dropped wholesale" bound s.evictions;
+  Alcotest.(check int) "only the newcomer" 1 s.size;
+  Alcotest.(check string) "recomputed after eviction" first
+    (Crypto.Det.encrypt k "m0");
+  Alcotest.(check int) "recompute was a miss" (bound + 2)
+    (Crypto.Det.cache_stats k).misses
 
 (* ---- deterministic bulk encryption ---- *)
 
@@ -522,7 +553,9 @@ let () =
            test_ope_cache_transparent;
          Alcotest.test_case "OPE still monotone" `Quick test_ope_monotone;
          Alcotest.test_case "DET memo transparent" `Quick
-           test_det_cache_transparent ]);
+           test_det_cache_transparent;
+         Alcotest.test_case "DET memo eviction recomputes" `Quick
+           test_det_cache_eviction ]);
       ("bulk-encryption",
        [ Alcotest.test_case "deterministic across pool sizes" `Quick
            test_encrypt_table_deterministic;
