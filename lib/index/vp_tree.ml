@@ -127,9 +127,8 @@ let build_over ?pool ~seed space ids =
   let indexed = Array.copy ids in
   Array.sort Int.compare indexed;
   if t0 > 0 then begin
-    let dt = Obs.now_ns () - t0 in
+    let dt = Obs.observe_since Space.m_build t0 in
     Obs.Metric.incr Space.m_builds;
-    Obs.Metric.observe Space.m_build_ns dt;
     Obs.Span.record ~cat:"index"
       ~name:(Printf.sprintf "vp.build(n=%d)" (Array.length ids))
       ~ts_ns:t0 ~dur_ns:dt ()

@@ -16,9 +16,9 @@ val refresh_runtime : unit -> unit
 
 val openmetrics : unit -> string
 (** The registry in OpenMetrics/Prometheus text exposition format:
-    counters as [_total], gauges plain, log2 histograms as cumulative
-    [le] buckets with [_sum]/[_count], sketches as summaries with
-    p50/p90/p99 [quantile] labels; ends with [# EOF].  Metric names are
+    counters as [_total], gauges plain, sketches as summaries with
+    p50/p90/p99 [quantile] labels plus [_sum]/[_count]; ends with
+    [# EOF].  Metric names are
     sanitized ([.] -> [_]). *)
 
 val snapshot_json : ?now:int -> unit -> string
@@ -35,4 +35,7 @@ val snapshot_json : ?now:int -> unit -> string
 val diff : old_json:string -> (string, string) result
 (** Render a per-metric old/new/delta table of the live registry against
     a previously saved {!snapshot_json} (a bare registry dump is also
-    accepted).  [Error] when the old snapshot does not parse. *)
+    accepted).  Names only the old snapshot holds — including entries of
+    a kind no longer exported, such as the removed ["histogram"] — are
+    listed as [gone] rows.  [Error] when the old snapshot does not
+    parse. *)

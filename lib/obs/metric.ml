@@ -6,9 +6,10 @@
    exist, at which point updates stay correct and merely share cells).
    Readers merge all shards on demand — there is no lock anywhere.
 
-   Every write is gated on [Control.is_on], so with observability off an
-   instrumented hot path costs exactly one atomic load and allocates
-   nothing. *)
+   Every counter write is gated on [Control.is_on], so with observability
+   off an instrumented hot path costs exactly one atomic load and
+   allocates nothing.  Latencies are not recorded here: [Sketch] layers
+   its DDSketch buckets over these cells. *)
 
 let shard_count = 16 (* power of two, >= any realistic pool size *)
 
@@ -36,7 +37,7 @@ let reset_counter : counter -> unit = clear_cells
 (* ---- gauges ---- *)
 
 (* last-write-wins; set from one place at a time (pool sizes, config),
-   so a single cell suffices.  Unlike counters/histograms, gauge writes
+   so a single cell suffices.  Unlike counters and sketches, gauge writes
    are NOT gated on the enabled flag: they record cold-path configuration
    (an atomic store, no allocation), and gating them would lose values
    set before telemetry is switched on — e.g. the pool size gauge when
@@ -47,53 +48,3 @@ let gauge () : gauge = Atomic.make 0
 let set_gauge (g : gauge) v = Atomic.set g v
 let gauge_value : gauge -> int = Atomic.get
 let reset_gauge (g : gauge) = Atomic.set g 0
-
-(* ---- log2-bucketed histograms ---- *)
-
-(* bucket [b] counts observations [v] with [2^(b-1) < v <= 2^b]
-   (bucket 0 collects [v <= 1]); intended unit is nanoseconds *)
-let bucket_count = 63
-
-let bucket_of v =
-  if v <= 1 then 0
-  else begin
-    let b = ref 0 and x = ref (v - 1) in
-    while !x > 0 do
-      b := !b + 1;
-      x := !x lsr 1
-    done;
-    min !b (bucket_count - 1)
-  end
-
-type histogram = {
-  buckets : cells array; (* bucket_count arrays of shard_count cells *)
-  sum : cells;
-  count : cells;
-}
-
-let histogram () =
-  { buckets = Array.init bucket_count (fun _ -> make_cells ());
-    sum = make_cells ();
-    count = make_cells () }
-
-let observe h v =
-  if Control.is_on () then begin
-    let s = shard_index () in
-    ignore (Atomic.fetch_and_add h.buckets.(bucket_of v).(s) 1);
-    ignore (Atomic.fetch_and_add h.sum.(s) v);
-    ignore (Atomic.fetch_and_add h.count.(s) 1)
-  end
-
-(* [t0 = 0] is the "was disabled at operation start" sentinel produced by
-   [Obs.time_start]; skip the observation rather than record a bogus
-   epoch-sized latency *)
-let observe_since h t0 = if t0 > 0 then observe h (Control.now_ns () - t0)
-
-let hist_count h = merge h.count
-let hist_sum h = merge h.sum
-let hist_buckets h = Array.map merge h.buckets
-
-let reset_histogram h =
-  Array.iter clear_cells h.buckets;
-  clear_cells h.sum;
-  clear_cells h.count

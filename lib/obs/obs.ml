@@ -13,13 +13,12 @@ let is_enabled () = Atomic.get Control.enabled
 let now_ns = Control.now_ns
 let time_start () = if is_enabled () then Control.now_ns () else 0
 
-(* one clock read feeding both the log2 histogram and the quantile
-   sketch, with the current span attached as the sketch's outlier
-   exemplar; no-op on the [t0 = 0] disabled sentinel *)
-let observe_timed ~hist ~sketch t0 =
-  if t0 > 0 then begin
+(* the one clock-to-sketch helper; [t0 = 0] is the disabled sentinel *)
+let observe_since sketch t0 =
+  if t0 <= 0 then 0
+  else begin
     let dt = Control.now_ns () - t0 in
-    Metric.observe hist dt;
     let ctx = Span.current () in
-    Sketch.observe sketch ~trace_id:ctx.Span.trace ~span_id:ctx.Span.span dt
+    Sketch.observe sketch ~trace_id:ctx.Span.trace ~span_id:ctx.Span.span dt;
+    dt
   end

@@ -1,5 +1,5 @@
-(** Observability for the KIT-DPE tree: counters, gauges, log2-bucketed
-    latency histograms and DDSketch-style quantile sketches backed by
+(** Observability for the KIT-DPE tree: counters, gauges and
+    DDSketch-style quantile sketches (the one latency type) backed by
     per-domain sharded cells (merge-on-read, lock-free writes), spans
     with trace causality and a Chrome [trace_event] exporter, rolling
     time-window aggregation, and an OpenMetrics / versioned-JSON export
@@ -14,7 +14,9 @@
     do).
 
     Naming convention for registered metrics:
-    [kitdpe.<layer>.<name>] — e.g. [kitdpe.crypto.ope.cache_hits].
+    [kitdpe.<layer>.<name>] — e.g. [kitdpe.crypto.ope.cache_hits].  A
+    timed section records once, into one sketch named for the section
+    ([kitdpe.crypto.det.encrypt]), via {!observe_since}.
     Everything outside [kitdpe.parallel.*] counts workload semantics and
     is invariant under [KITDPE_DOMAINS]; the [kitdpe.parallel.*] family
     (per-lane task counts, busy nanoseconds) describes the execution
@@ -31,11 +33,11 @@ val now_ns : unit -> int
 
 val time_start : unit -> int
 (** [now_ns ()] when enabled, [0] when disabled — the [0] sentinel makes
-    [Metric.observe_since] a no-op, so a timed section costs nothing when
-    telemetry is off:
+    {!observe_since} a no-op, so a timed section costs one atomic load
+    when telemetry is off:
     {[ let t0 = Obs.time_start () in
        ... work ...
-       Obs.Metric.observe_since hist t0 ]} *)
+       ignore (Obs.observe_since sketch t0) ]} *)
 
 module Metric : sig
   (** Sharded metric cells.  Writers hash [Domain.self ()] to a shard and
@@ -44,7 +46,6 @@ module Metric : sig
 
   type counter
   type gauge
-  type histogram
 
   val counter : unit -> counter
   (** An unregistered counter (tests); production code uses
@@ -66,39 +67,14 @@ module Metric : sig
   val set_gauge : gauge -> int -> unit
   val gauge_value : gauge -> int
   val reset_gauge : gauge -> unit
-
-  val histogram : unit -> histogram
-
-  val observe : histogram -> int -> unit
-  (** Record one observation (intended unit: nanoseconds).  Bucket [b]
-      counts values [v] with [2^(b-1) < v <= 2^b]; bucket [0] collects
-      [v <= 1]. *)
-
-  val observe_since : histogram -> int -> unit
-  (** [observe_since h t0] records [now_ns () - t0]; no-op if [t0 = 0]
-      (the {!time_start} disabled sentinel). *)
-
-  val bucket_of : int -> int
-  (** The log2 bucket index an observation lands in (exposed for tests
-      and renderers). *)
-
-  val bucket_count : int
-
-  val hist_count : histogram -> int
-  val hist_sum : histogram -> int
-
-  val hist_buckets : histogram -> int array
-  (** Merged per-bucket counts, length {!bucket_count}. *)
-
-  val reset_histogram : histogram -> unit
 end
 
 module Sketch : sig
-  (** DDSketch-style relative-error quantile sketch: geometric buckets
-      of ratio [(1+alpha)/(1-alpha)], so any reported quantile is within
-      {!alpha} (1%) relative error of the true order statistic.  Same
-      sharded, lock-free, zero-cost-when-disabled discipline as
-      {!Metric}. *)
+  (** DDSketch-style relative-error quantile sketch, the one latency
+      type: geometric buckets of ratio [(1+alpha)/(1-alpha)], so any
+      reported quantile is within {!alpha} (1%) relative error of the
+      true order statistic.  Same sharded, lock-free,
+      zero-cost-when-disabled discipline as {!Metric}. *)
 
   type t
 
@@ -112,11 +88,10 @@ module Sketch : sig
 
   val observe : t -> ?trace_id:int -> ?span_id:int -> int -> unit
   (** Record one observation (nanoseconds).  A new maximum keeps the
-      supplied span context as the outlier {!exemplar}. *)
-
-  val observe_since : t -> int -> unit
-  (** No-op when [t0 = 0]; see {!Obs.observe_timed} to feed a histogram
-      and a sketch (plus exemplar) from one clock read. *)
+      supplied span context as the outlier {!exemplar}.  Timed sections
+      use {!Obs.observe_since}; a direct call is for a value timed
+      elsewhere whose exemplar is not the current span (the pool
+      task). *)
 
   val count : t -> int
   val sum : t -> int
@@ -147,7 +122,6 @@ module Registry : sig
 
   val counter : string -> Metric.counter
   val gauge : string -> Metric.gauge
-  val histogram : string -> Metric.histogram
 
   val sketch : string -> Sketch.t
   (** Get or create.  @raise Invalid_argument if [name] is already
@@ -156,9 +130,6 @@ module Registry : sig
   type value =
     | Vcounter of int
     | Vgauge of int
-    | Vhistogram of { count : int; sum : int; buckets : (int * int) list }
-        (** [buckets] lists only non-empty buckets as
-            [(log2_index, count)]. *)
     | Vsketch of {
         count : int;
         sum : int;
@@ -187,10 +158,9 @@ module Registry : sig
 
   val dump_json : unit -> string
   (** The snapshot as one JSON object:
-      [{"<name>": {"type": "counter", "value": n}, ...}]; histograms
-      carry [count], [sum_ns] and a [[log2_bucket, count]] list;
-      sketches carry [count]/[sum_ns]/[max_ns], p50/p90/p99 and an
-      optional outlier [exemplar]. *)
+      [{"<name>": {"type": "counter", "value": n}, ...}]; sketches
+      carry [count]/[sum_ns]/[max_ns], p50/p90/p99 and an optional
+      outlier [exemplar]. *)
 end
 
 module Span : sig
@@ -277,8 +247,7 @@ module Window : sig
   (** Rotate unconditionally. *)
 
   val rate : ?now:int -> ?window_ns:int -> string -> float option
-  (** Events per second over the window for a counter, histogram or
-      sketch. *)
+  (** Events per second over the window for a counter or sketch. *)
 
   val quantile : ?now:int -> ?window_ns:int -> string -> float -> float option
   (** Recent quantile of a registered sketch (live minus baseline
@@ -341,11 +310,13 @@ module Export : sig
 
   val diff : old_json:string -> (string, string) result
   (** Old/new/delta table of the live registry against a saved
-      {!snapshot_json}. *)
+      {!snapshot_json}; names only the old snapshot holds (an entry of
+      the removed ["histogram"] kind too) are listed as [gone]. *)
 end
 
-val observe_timed :
-  hist:Metric.histogram -> sketch:Sketch.t -> int -> unit
-(** One clock read feeding both the log2 histogram and the quantile
-    sketch, attaching the current span as the sketch's outlier exemplar;
-    no-op on the [t0 = 0] {!time_start} sentinel. *)
+val observe_since : Sketch.t -> int -> int
+(** [observe_since sketch t0] is the one way to time a section: it reads
+    the clock once, records [now_ns () - t0] into [sketch] with the
+    current span as the outlier exemplar, and returns that elapsed time
+    so the caller can reuse it for its [Span.record].  On the [t0 = 0]
+    {!time_start} sentinel it returns [0] and records nothing. *)

@@ -11,7 +11,6 @@
 
 val counter : string -> Metric.counter
 val gauge : string -> Metric.gauge
-val histogram : string -> Metric.histogram
 
 val sketch : string -> Sketch.t
 (** Get or create.  @raise Invalid_argument if the name is already
@@ -20,8 +19,6 @@ val sketch : string -> Sketch.t
 type value =
   | Vcounter of int
   | Vgauge of int
-  | Vhistogram of { count : int; sum : int; buckets : (int * int) list }
-      (** [buckets] lists only non-empty buckets as [(log2_index, count)]. *)
   | Vsketch of {
       count : int;
       sum : int;
@@ -48,8 +45,7 @@ val dump : Format.formatter -> unit
 
 val dump_json : unit -> string
 (** The snapshot as one JSON object:
-    [{"<name>": {"type": "counter", "value": n}, ...}]; histograms carry
-    [count], [sum_ns] and a [[log2_bucket, count]] list; sketches carry
+    [{"<name>": {"type": "counter", "value": n}, ...}]; sketches carry
     [count]/[sum_ns]/[max_ns], [p50_ns]/[p90_ns]/[p99_ns] and an
     optional outlier [exemplar]. *)
 
@@ -62,7 +58,6 @@ val dump_json : unit -> string
 type metric =
   | Counter of Metric.counter
   | Gauge of Metric.gauge
-  | Histogram of Metric.histogram
   | Sketch of Sketch.t
 
 val iter : (string -> metric -> unit) -> unit

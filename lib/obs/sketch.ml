@@ -4,8 +4,8 @@
    gamma = (1+alpha)/(1-alpha); reporting the bucket's harmonic midpoint
    2*gamma^i/(gamma+1) guarantees a relative error of at most alpha for
    any quantile (bucket 0 collects v <= 1, the top bucket clamps).  With
-   alpha = 1% that is ~50x finer than the log2 histograms while staying
-   a fixed-size integer-indexed array — no tree, no rebalancing.
+   alpha = 1% that is ~50x finer than log2 buckets while staying a
+   fixed-size integer-indexed array — no tree, no rebalancing.
 
    Concurrency follows [Metric]: each touched bucket is an array of
    per-domain shards updated with one [Atomic.fetch_and_add] and merged
@@ -84,7 +84,6 @@ let observe t ?(trace_id = 0) ?(span_id = 0) v =
     bump ()
   end
 
-let observe_since t t0 = if t0 > 0 then observe t (Control.now_ns () - t0)
 let count t = Metric.merge t.count
 let sum t = Metric.merge t.sum
 let max_value t = Atomic.get t.max_v

@@ -8,7 +8,7 @@
     cells exactly like {!Metric} — lock-free writes, merge-on-read —
     installed lazily so idle sketches stay small.  All updates are gated
     on the global enabled flag: disabled, {!observe} costs one atomic
-    load and allocates nothing. *)
+    load and allocates nothing.  It is the tree's only latency type. *)
 
 type t
 
@@ -27,12 +27,9 @@ val create : unit -> t
 val observe : t -> ?trace_id:int -> ?span_id:int -> int -> unit
 (** Record one observation (intended unit: nanoseconds).  When the value
     becomes the new maximum, the optional span context is kept as the
-    sketch's outlier {!exemplar}. *)
-
-val observe_since : t -> int -> unit
-(** [observe_since s t0] records [now_ns () - t0]; no-op when [t0 = 0]
-    (the [Obs.time_start] disabled sentinel).  Use [Obs.observe_timed]
-    to also attach the current span as exemplar. *)
+    sketch's outlier {!exemplar}.  Timed sections use [Obs.observe_since]
+    instead; direct calls are for values timed elsewhere (the pool task,
+    whose exemplar is the task's own context). *)
 
 val count : t -> int
 val sum : t -> int

@@ -26,8 +26,8 @@
     before any distance is computed.
 
     Metrics: [kitdpe.server.requests.{encrypt,mine,stats,health}],
-    [kitdpe.server.request] (latency sketch),
-    [kitdpe.server.request_ns], [kitdpe.server.partial], and
+    [kitdpe.server.request] (latency sketch, one observation per
+    request), [kitdpe.server.partial], and
     [kitdpe.server.deadline_exceeded.running]: requests whose deadline
     expired while executing (expiry while still queued is counted by
     {!Engine} as [kitdpe.server.deadline_exceeded.queued]). *)

@@ -48,74 +48,39 @@ let test_gauge_survives_disable () =
 let test_disabled_noop () =
   with_obs_off (fun () ->
       let c = Obs.Metric.counter () in
-      let h = Obs.Metric.histogram () in
       Obs.Metric.incr c;
       Obs.Metric.add c 100;
-      Obs.Metric.observe h 1234;
       Alcotest.(check int) "counter untouched" 0 (Obs.Metric.value c);
-      Alcotest.(check int) "histogram untouched" 0 (Obs.Metric.hist_count h);
       Alcotest.(check int) "time_start sentinel" 0 (Obs.time_start ());
-      Obs.Metric.observe_since h 0;
-      Alcotest.(check int) "observe_since no-op" 0 (Obs.Metric.hist_count h);
       Obs.Span.clear ();
       let r = Obs.Span.with_span "noop" (fun () -> 17) in
       Alcotest.(check int) "with_span passthrough" 17 r;
       Alcotest.(check int) "no events" 0 (List.length (Obs.Span.events ()));
       let sk = Obs.Sketch.create () in
       Obs.Sketch.observe sk 999;
-      Obs.Sketch.observe_since sk 0;
+      Alcotest.(check int) "observe_since sentinel returns 0" 0
+        (Obs.observe_since sk (Obs.time_start ()));
       Alcotest.(check int) "sketch untouched" 0 (Obs.Sketch.count sk);
       Alcotest.(check int) "sketch sum untouched" 0 (Obs.Sketch.sum sk);
       Obs.Window.reset ();
       Obs.Window.tick ();
       Alcotest.(check int) "window tick no-op" 0 (Obs.Window.epoch_count ()))
 
-(* ---- histograms ---- *)
-
-let test_histogram_buckets () =
-  with_obs (fun () ->
-      Alcotest.(check int) "bucket_of 0" 0 (Obs.Metric.bucket_of 0);
-      Alcotest.(check int) "bucket_of 1" 0 (Obs.Metric.bucket_of 1);
-      Alcotest.(check int) "bucket_of 2" 1 (Obs.Metric.bucket_of 2);
-      (* bucket b holds 2^(b-1) < v <= 2^b *)
-      List.iter
-        (fun b ->
-          Alcotest.(check int)
-            (Printf.sprintf "lower edge of bucket %d" b)
-            b
-            (Obs.Metric.bucket_of ((1 lsl (b - 1)) + 1));
-          Alcotest.(check int)
-            (Printf.sprintf "upper edge of bucket %d" b)
-            b
-            (Obs.Metric.bucket_of (1 lsl b)))
-        [ 2; 3; 10; 20; 40 ];
-      let h = Obs.Metric.histogram () in
-      List.iter (Obs.Metric.observe h) [ 1; 3; 3; 1000; 0 ];
-      Alcotest.(check int) "count" 5 (Obs.Metric.hist_count h);
-      Alcotest.(check int) "sum" 1007 (Obs.Metric.hist_sum h);
-      let b = Obs.Metric.hist_buckets h in
-      Alcotest.(check int) "bucket 0 (v<=1)" 2 b.(0);
-      Alcotest.(check int) "bucket 2 (3..4)" 2 b.(2);
-      Alcotest.(check int) "bucket 10 (513..1024)" 1 b.(10);
-      Alcotest.(check int) "total across buckets" 5
-        (Array.fold_left ( + ) 0 b))
-
 (* ---- shard merge under a real multi-domain pool ---- *)
 
 let test_shard_merge () =
   with_obs (fun () ->
       let c = Obs.Registry.counter "test.obs.shard_merge" in
-      let h = Obs.Registry.histogram "test.obs.shard_merge_ns" in
+      let sk = Obs.Registry.sketch "test.obs.shard_merge_sk" in
       let n = 10_000 in
       with_pool ~domains:4 (fun p ->
           Parallel.Pool.for_range p n (fun i ->
               Obs.Metric.incr c;
-              Obs.Metric.observe h (i land 1023)));
+              Obs.Sketch.observe sk (i land 1023)));
       Alcotest.(check int) "counter merged exactly" n (Obs.Metric.value c);
-      Alcotest.(check int) "histogram merged exactly" n
-        (Obs.Metric.hist_count h);
+      Alcotest.(check int) "sketch merged exactly" n (Obs.Sketch.count sk);
       Alcotest.(check int) "bucket totals merged" n
-        (Array.fold_left ( + ) 0 (Obs.Metric.hist_buckets h)))
+        (List.fold_left (fun acc (_, k) -> acc + k) 0 (Obs.Sketch.sparse sk)))
 
 (* ---- workload-semantic metrics are pool-size invariant ---- *)
 
@@ -330,8 +295,7 @@ let test_trace_export () =
              1));
       let c = Obs.Registry.counter "test.obs.trace_counter" in
       Obs.Metric.incr c;
-      let h = Obs.Registry.histogram "test.obs.trace_ns" in
-      Obs.Metric.observe h 1000;
+      Obs.Sketch.observe (Obs.Registry.sketch "test.obs.trace_sk") 1000;
       let json = Obs.Trace.to_string () in
       let nvals = check_json "trace" json in
       Alcotest.(check bool) "trace is non-trivial" true (nvals > 10);
@@ -347,24 +311,28 @@ let test_trace_export () =
       Alcotest.(check bool) "has complete events" true (contains "\"ph\":\"X\"");
       Alcotest.(check bool) "embeds the registry" true
         (contains "test.obs.trace_counter");
+      Alcotest.(check bool) "embeds the sketch" true
+        (contains "test.obs.trace_sk");
       Alcotest.(check bool) "escapes newlines" true (contains "beta\\nnewline"))
-
-let test_registry_dump_json () =
-  with_obs (fun () ->
-      Obs.Metric.incr (Obs.Registry.counter "test.obs.dump_c");
-      Obs.Metric.observe (Obs.Registry.histogram "test.obs.dump_h") 42;
-      Obs.Metric.set_gauge (Obs.Registry.gauge "test.obs.dump_g") 3;
-      let json = Obs.Registry.dump_json () in
-      ignore (check_json "registry dump" json);
-      Alcotest.check_raises "kind mismatch rejected"
-        (Invalid_argument
-           "Obs.Registry: test.obs.dump_c already registered with another kind")
-        (fun () -> ignore (Obs.Registry.histogram "test.obs.dump_c")))
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
+
+let test_registry_dump_json () =
+  with_obs (fun () ->
+      Obs.Metric.incr (Obs.Registry.counter "test.obs.dump_c");
+      Obs.Sketch.observe (Obs.Registry.sketch "test.obs.dump_s") 42;
+      Obs.Metric.set_gauge (Obs.Registry.gauge "test.obs.dump_g") 3;
+      let json = Obs.Registry.dump_json () in
+      ignore (check_json "registry dump" json);
+      Alcotest.(check bool) "sketch entry" true
+        (contains json "\"test.obs.dump_s\":{\"type\":\"sketch\",\"count\":1");
+      Alcotest.check_raises "kind mismatch rejected"
+        (Invalid_argument
+           "Obs.Registry: test.obs.dump_c already registered with another kind")
+        (fun () -> ignore (Obs.Registry.sketch "test.obs.dump_c")))
 
 (* ---- quantile sketches (PR 7) ---- *)
 
@@ -444,12 +412,35 @@ let test_sketch_exemplar () =
       Obs.Sketch.observe sk ~trace_id:9 ~span_id:10 9_000;
       Obs.Sketch.observe sk ~trace_id:11 ~span_id:12 800;
       Alcotest.(check int) "max tracked" 9_000 (Obs.Sketch.max_value sk);
-      match Obs.Sketch.exemplar sk with
+      (match Obs.Sketch.exemplar sk with
+       | Some e ->
+         Alcotest.(check int) "exemplar value" 9_000 e.Obs.Sketch.ex_value;
+         Alcotest.(check int) "exemplar trace" 9 e.Obs.Sketch.ex_trace;
+         Alcotest.(check int) "exemplar span" 10 e.Obs.Sketch.ex_span
+       | None -> Alcotest.fail "no exemplar on the largest observation");
+      (* a timed section: the returned elapsed time is what was recorded,
+         and the enclosing span is the exemplar *)
+      let timed = Obs.Sketch.create () in
+      let dt, ctx =
+        Obs.Span.with_span "timed" (fun () ->
+            let t0 = Obs.time_start () in
+            (* the clock has microsecond granularity; make dt > 0 *)
+            while Obs.now_ns () <= t0 do
+              ()
+            done;
+            (Obs.observe_since timed t0, Obs.Span.current ()))
+      in
+      Alcotest.(check bool) "elapsed time positive" true (dt > 0);
+      Alcotest.(check int) "one observation" 1 (Obs.Sketch.count timed);
+      Alcotest.(check int) "returned = recorded max" dt
+        (Obs.Sketch.max_value timed);
+      match Obs.Sketch.exemplar timed with
       | Some e ->
-        Alcotest.(check int) "exemplar value" 9_000 e.Obs.Sketch.ex_value;
-        Alcotest.(check int) "exemplar trace" 9 e.Obs.Sketch.ex_trace;
-        Alcotest.(check int) "exemplar span" 10 e.Obs.Sketch.ex_span
-      | None -> Alcotest.fail "no exemplar on the largest observation")
+        Alcotest.(check int) "exemplar trace = with_span's" ctx.Obs.Span.trace
+          e.Obs.Sketch.ex_trace;
+        Alcotest.(check int) "exemplar span = with_span's" ctx.Obs.Span.span
+          e.Obs.Sketch.ex_span
+      | None -> Alcotest.fail "observe_since left no exemplar")
 
 (* ---- rolling windows ---- *)
 
@@ -499,8 +490,8 @@ let test_window () =
 
 (* promtool-style format check: every line is a '# TYPE <name> <kind>'
    comment or a '<name>[{labels}] <value>' sample whose family was
-   declared, names match the OpenMetrics charset, and the exposition
-   ends with '# EOF' *)
+   declared, no family is declared twice, names match the OpenMetrics
+   charset, and the exposition ends with '# EOF' *)
 let check_openmetrics text =
   let fail fmt = Printf.ksprintf (fun s -> Alcotest.fail s) fmt in
   let is_name_char c =
@@ -525,7 +516,7 @@ let check_openmetrics text =
             Some (String.sub s 0 (sl - fl))
           else None)
       None
-      [ "_total"; "_sum"; "_count"; "_bucket" ]
+      [ "_total"; "_sum"; "_count" ]
     |> Option.value ~default:s
   in
   let declared = Hashtbl.create 32 in
@@ -540,8 +531,9 @@ let check_openmetrics text =
         (match String.split_on_char ' ' line with
          | [ "#"; "TYPE"; name; kind ] ->
            if not (valid_name name) then fail "bad family name %s" name;
-           if not (List.mem kind [ "counter"; "gauge"; "histogram"; "summary" ])
-           then fail "bad kind %s" kind;
+           if not (List.mem kind [ "counter"; "gauge"; "summary" ]) then
+             fail "bad kind %s" kind;
+           if Hashtbl.mem declared name then fail "family %s declared twice" name;
            Hashtbl.replace declared name kind
          | "#" :: "HELP" :: _ -> ()
          | _ -> fail "bad comment line: %s" line);
@@ -573,7 +565,7 @@ let check_openmetrics text =
           fail "sample %s has no # TYPE declaration" metric;
         (match float_of_string_opt value with
          | Some _ -> ()
-         | None -> if value <> "+Inf" then fail "bad sample value: %s" value);
+         | None -> fail "bad sample value: %s" value);
         go seen_eof rest
       end
   in
@@ -582,17 +574,21 @@ let check_openmetrics text =
 let test_openmetrics_format () =
   with_obs (fun () ->
       Obs.Metric.incr (Obs.Registry.counter "test.obs.om_c");
-      Obs.Metric.observe (Obs.Registry.histogram "test.obs.om_h_ns") 300;
       Obs.Sketch.observe (Obs.Registry.sketch "test.obs.om_sk") 500;
+      let timed = Obs.Registry.sketch "test.obs.om_t" in
+      ignore (Obs.observe_since timed (Obs.time_start ()));
       Obs.Metric.set_gauge (Obs.Registry.gauge "test.obs.om_g") 2;
       let text = Obs.Export.openmetrics () in
+      (* also rejects a family declared twice *)
       check_openmetrics text;
       Alcotest.(check bool) "counter rendered as _total" true
         (contains text "test_obs_om_c_total 1");
-      Alcotest.(check bool) "histogram has +Inf bucket" true
-        (contains text "le=\"+Inf\"");
       Alcotest.(check bool) "sketch rendered as summary quantiles" true
         (contains text "test_obs_om_sk{quantile=\"0.99\"}");
+      Alcotest.(check bool) "timed section is one summary" true
+        (contains text "# TYPE test_obs_om_t summary\ntest_obs_om_t");
+      Alcotest.(check bool) "no histogram family" false
+        (contains text " histogram\n");
       Alcotest.(check bool) "runtime gauges refreshed" true
         (contains text "kitdpe_runtime_minor_collections"))
 
@@ -618,6 +614,28 @@ let test_snapshot_and_diff () =
          Alcotest.(check bool) "diff shows the delta" true
            (contains table "+3")
        | Error e -> Alcotest.fail ("diff rejected its own snapshot: " ^ e));
+      (* a snapshot written before the log2 histograms were removed: the
+         histogram entry has no live metric, so it is a [gone] row *)
+      let pre_sketch_only =
+        {|{"schema":"kitdpe.metrics","schema_version":1,"metrics":{|}
+        ^ {|"kitdpe.crypto.det.encrypt_ns":{"type":"histogram","count":3,|}
+        ^ {|"sum_ns":900,"buckets":[[9,3]]},|}
+        ^ {|"test.obs.snap_c":{"type":"counter","value":5}}}|}
+      in
+      (match Obs.Export.diff ~old_json:pre_sketch_only with
+       | Ok table ->
+         let gone_row name =
+           List.exists
+             (fun line ->
+               String.starts_with ~prefix:(name ^ " ") line
+               && contains line "gone")
+             (String.split_on_char '\n' table)
+         in
+         Alcotest.(check bool) "histogram entry listed as gone" true
+           (gone_row "kitdpe.crypto.det.encrypt_ns");
+         Alcotest.(check bool) "live counter not gone" false
+           (gone_row "test.obs.snap_c")
+       | Error e -> Alcotest.fail ("diff rejected a histogram snapshot: " ^ e));
       match Obs.Export.diff ~old_json:"{ not json" with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "diff accepted garbage")
@@ -688,8 +706,7 @@ let () =
        [ Alcotest.test_case "counter" `Quick test_counter;
          Alcotest.test_case "gauge survives disable" `Quick
            test_gauge_survives_disable;
-         Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
-         Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets ]);
+         Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop ]);
       ("sketches",
        [ Alcotest.test_case "quantile accuracy" `Quick test_sketch_accuracy;
          Alcotest.test_case "shard merge under 4 domains" `Quick
