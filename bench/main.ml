@@ -623,7 +623,7 @@ let perf_parallel () =
   in
   let my_dists =
     Array.map
-      (fun (a, b) -> Distance.D_edit.myers ~alphabet:lev_alphabet a b)
+      (fun (a, b) -> Distance.D_edit.myers a b)
       lev_inputs
   in
   let t_dp =
@@ -633,7 +633,7 @@ let perf_parallel () =
   let t_my =
     time_best (fun () ->
         Array.map
-          (fun (a, b) -> Distance.D_edit.myers ~alphabet:lev_alphabet a b)
+          (fun (a, b) -> Distance.D_edit.myers a b)
           lev_inputs)
   in
   push

@@ -301,11 +301,10 @@ let mine m algo_name k eps seed rows trace engine path =
           in
           Mining.Algo.run algo ~k ~eps (Dpe.Verdict.distance_matrix ctx m log))
   in
-  Array.iteri
-    (fun i l ->
-      Format.printf "%3d %3d  %s@." i l
-        (Sqlir.Printer.to_string (List.nth log i)))
-    labels;
+  List.iteri
+    (fun i q ->
+      Format.printf "%3d %3d  %s@." i labels.(i) (Sqlir.Printer.to_string q))
+    log;
   write_trace trace
 
 let mine_cmd =
@@ -346,10 +345,14 @@ let write_whole_file path s =
 
 (* the representative telemetry workload shared by [stats] and [top]:
    encrypt the log twice (the warm pass lights up any OPE/DET memo
-   caches), build a distance matrix over the ciphertext, cluster, and
-   push a small batch through the Paillier encryptor so the HOM latency
-   sketch carries data even under schemes that never touch it *)
-let stats_workload m seed rows enc log round =
+   caches), build a distance matrix over the ciphertext, cluster, build
+   a VP-tree over the ciphertext's feature table, prewarm the HOM noise
+   pool of the log's database and push a small batch through the
+   Paillier encryptor.  [hom_enc] is a result-scheme encryptor ([enc]
+   itself under the result measure), and the VP-tree indexes the token
+   distance when the measure has no index of its own, so the index,
+   prewarm and HOM sketches carry data under every scheme *)
+let stats_workload m seed rows ~enc ~hom_enc log round =
   let cipher =
     Obs.Span.with_span ~cat:"cli" "cli.encrypt_log(cold)" (fun () ->
         Dpe.Encryptor.encrypt_log enc log)
@@ -357,26 +360,39 @@ let stats_workload m seed rows enc log round =
   ignore
     (Obs.Span.with_span ~cat:"cli" "cli.encrypt_log(warm)" (fun () ->
          Dpe.Encryptor.encrypt_log enc log));
+  let db = db_for_log ~seed ~rows log in
+  ignore
+    (Obs.Span.with_span ~cat:"cli" "cli.prewarm_hom_noise" (fun () ->
+         Dpe.Db_encryptor.prewarm_hom_noise_r hom_enc db));
   let ctx =
-    if m = M.Result then begin
-      let db = db_for_log ~seed ~rows log in
+    if m = M.Result then
       M.ctx_with_db
         (Obs.Span.with_span ~cat:"cli" "cli.encrypt_database" (fun () ->
              Dpe.Db_encryptor.encrypt_database enc db))
-    end
     else M.default_ctx
   in
   let dm = Dpe.Verdict.distance_matrix ctx m cipher in
   let k = min 4 (List.length cipher) in
   if k > 0 then ignore (Mining.Hier.cut_k k dm);
+  Obs.Span.with_span ~cat:"cli" "cli.index_build" (fun () ->
+      let kind =
+        Option.value (Index.Space.kind_of_measure m) ~default:Index.Space.Token
+      in
+      let feats = Distance.Features.build (Array.of_list cipher) in
+      ignore (Index.Vp_tree.build ~seed (Index.Space.of_kind kind feats)));
   Obs.Span.with_span ~cat:"cli" "cli.hom_encrypt" (fun () ->
-      let pub, _ = Dpe.Encryptor.paillier enc in
+      let pub, _ = Dpe.Encryptor.paillier hom_enc in
       let rng = Crypto.Drbg.create ~seed:(Printf.sprintf "%s-hom-%d" seed round) in
       for pass = 1 to 2 do
         for v = 1 to 4 do
           ignore (Crypto.Paillier.encrypt_int pub rng ((pass * 100) + v))
         done
       done)
+
+(* the result-scheme encryptor [stats_workload] prewarms and runs the HOM
+   batch on; one Paillier keygen per command, as with [enc] alone *)
+let hom_encryptor_of m pass log ~enc =
+  if m = M.Result then enc else encryptor_of M.Result pass log
 
 (* the human-readable windowed footer: per-sketch recent throughput and
    latency quantiles, plus the span-buffer health line *)
@@ -409,8 +425,9 @@ let print_window_footer () =
     (List.length (Obs.Span.events ()))
     (Obs.Span.dropped ())
 
-(* stats: run the representative pipeline (encrypt twice -> distance
-   matrix -> cluster -> HOM batch) with telemetry on and report the
+(* stats: run the representative pipeline (encrypt twice -> HOM noise
+   prewarm -> distance matrix -> cluster -> VP-tree -> HOM batch) with
+   telemetry on and report the
    kitdpe.* registry.  The second encryption pass re-encrypts the same
    constants, so any log whose scheme uses OPE/DET memoization reports
    non-zero cache hits. *)
@@ -421,8 +438,9 @@ let stats m pass seed rows json diff openmetrics trace path =
   Obs.Window.force ();
   let log = read_log path in
   let enc = encryptor_of m pass log in
+  let hom_enc = hom_encryptor_of m pass log ~enc in
   Obs.Span.with_span ~cat:"cli" "cli.stats" (fun () ->
-      stats_workload m seed rows enc log 0);
+      stats_workload m seed rows ~enc ~hom_enc log 0);
   write_trace trace;
   Obs.Export.refresh_runtime ();
   (match openmetrics with
@@ -490,11 +508,12 @@ let top m pass seed rows interval rounds path =
   Obs.Window.force ();
   let log = read_log path in
   let enc = encryptor_of m pass log in
+  let hom_enc = hom_encryptor_of m pass log ~enc in
   let clear = if Unix.isatty Unix.stdout then "\027[2J\027[H" else "" in
   let rec loop i =
     if rounds = 0 || i < rounds then begin
       Obs.Span.with_span ~cat:"cli" "cli.top_round" (fun () ->
-          stats_workload m seed rows enc log i);
+          stats_workload m seed rows ~enc ~hom_enc log i);
       Obs.Window.tick ();
       Obs.Export.refresh_runtime ();
       Format.printf "%s==== kitdpe top: round %d%s (interval %.1fs) ====@."

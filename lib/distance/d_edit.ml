@@ -52,38 +52,116 @@ let levenshtein_ints (a : int array) (b : int array) =
    carry of the internal addition be masked off explicitly instead of
    wrapping through the sign bit).
 
-   Symbols are small non-negative ints from a per-matrix interning
-   (Features); [peq] maps symbol -> bitmask of the pattern positions
-   holding that symbol, one word per block, laid out block-major:
-   [peq.(blk * alphabet + sym)]. *)
+   Symbols are non-negative ints (a per-matrix interning in Features).
+   The pattern side is a compact open-addressed table over the pattern's
+   {e distinct} symbols only, so its size is O(m + m²/w) whatever the
+   alphabet: [2^bits] slots of [stride = blocks + 1] words each, slot
+   [s] holding its key at [table.(s * stride)] (-1 = empty) and the
+   symbol's position bitmask, one word per block, right after it.  A
+   lookup stops at the key or at the first empty slot; an empty slot's
+   masks are all zero, so a symbol absent from the pattern reads the
+   zero column without a branch of its own.  The table is immutable
+   once built and the kernel allocates its own two column vectors, so
+   one pattern may be read from any number of threads or domains. *)
 
 let word_bits = 62
 let word_mask = (1 lsl word_bits) - 1
 
 let myers_blocks m = (m + word_bits - 1) / word_bits
 
-(* pattern bitvectors for [myers_with_peq]; symbols outside
-   [0, alphabet) are invalid *)
-let myers_peq ~alphabet (pat : int array) =
+type pattern = {
+  len : int;
+  blocks : int;
+  bits : int;  (* log2 of the slot count *)
+  table : int array;
+}
+
+(* Fibonacci hashing: the top [bits] bits of a 63-bit product *)
+let slot_of ~bits sym = (sym * 0x2545F4914F6CDD1D) lsr (63 - bits)
+
+(* slot of [sym] in [table]: its own, or the empty slot ending its probe
+   run, whose masks are all zero *)
+let lookup table ~stride ~bits sym =
+  let mask = (1 lsl bits) - 1 in
+  let s = ref (slot_of ~bits sym) in
+  let k = ref (Array.unsafe_get table (!s * stride)) in
+  while !k <> sym && !k >= 0 do
+    s := (!s + 1) land mask;
+    k := Array.unsafe_get table (!s * stride)
+  done;
+  !s
+
+(* smallest [bits >= 1] with [2^bits >= slots] *)
+let bits_for slots =
+  let bits = ref 1 in
+  while 1 lsl !bits < slots do incr bits done;
+  !bits
+
+(* distinct symbols of [pat], counted in a keys-only table (stride 1) *)
+let distinct_count (pat : int array) =
+  let bits = bits_for (2 * Array.length pat) in
+  let keys = Array.make (1 lsl bits) (-1) in
+  let d = ref 0 in
+  Array.iter
+    (fun sym ->
+      if sym < 0 then invalid_arg "D_edit.pattern: negative symbol";
+      let s = lookup keys ~stride:1 ~bits sym in
+      if keys.(s) < 0 then begin
+        keys.(s) <- sym;
+        incr d
+      end)
+    pat;
+  !d
+
+let pattern (pat : int array) =
   let m = Array.length pat in
-  let nb = max 1 (myers_blocks m) in
-  let peq = Array.make (nb * alphabet) 0 in
+  let blocks = max 1 (myers_blocks m) in
+  (* at least twice as many slots as distinct symbols: load <= 1/2 *)
+  let bits = bits_for (2 * distinct_count pat) in
+  let stride = blocks + 1 and mask = (1 lsl bits) - 1 in
+  let table = Array.make ((1 lsl bits) * stride) 0 in
+  for s = 0 to mask do table.(s * stride) <- -1 done;
   Array.iteri
     (fun i sym ->
-      let blk = i / word_bits and bit = i mod word_bits in
-      let idx = (blk * alphabet) + sym in
-      peq.(idx) <- peq.(idx) lor (1 lsl bit))
+      let s = lookup table ~stride ~bits sym in
+      table.(s * stride) <- sym;
+      let idx = (s * stride) + 1 + (i / word_bits) in
+      table.(idx) <- table.(idx) lor (1 lsl (i mod word_bits)))
     pat;
-  peq
+  { len = m; blocks; bits; table }
 
-(* Levenshtein distance of [pat] (represented by [peq]/[m]) against
-   [text].  [peq] must come from [myers_peq ~alphabet pat]. *)
-let myers_with_peq ~alphabet ~m ~peq (text : int array) =
-  let n = Array.length text in
+(* one block (m <= 62, the common query): the column lives in two
+   registers *)
+let myers_one_block p (text : int array) =
+  let table = p.table and bits = p.bits in
+  let last_bit = 1 lsl (p.len - 1) in
+  let pv = ref word_mask and mv = ref 0 and score = ref p.len in
+  for j = 0 to Array.length text - 1 do
+    let s = lookup table ~stride:2 ~bits (Array.unsafe_get text j) in
+    let eq = Array.unsafe_get table ((s * 2) + 1) in
+    let pvb = !pv and mvb = !mv in
+    let xv = eq lor mvb in
+    let xh = ((((eq land pvb) + pvb) land word_mask) lxor pvb) lor eq in
+    let ph = mvb lor (lnot (xh lor pvb) land word_mask) in
+    let mh = pvb land xh in
+    if ph land last_bit <> 0 then incr score
+    else if mh land last_bit <> 0 then decr score;
+    let ph = ((ph lsl 1) lor 1) land word_mask in
+    let mh = (mh lsl 1) land word_mask in
+    pv := mh lor (lnot (xv lor ph) land word_mask);
+    mv := ph land xv
+  done;
+  !score
+
+(* Levenshtein distance of the pattern against [text] *)
+let myers_pattern p (text : int array) =
+  let n = Array.length text and m = p.len in
   if m = 0 then n
   else if n = 0 then m
+  else if p.blocks = 1 then myers_one_block p text
   else begin
-    let nb = myers_blocks m in
+    let nb = p.blocks and bits = p.bits and table = p.table in
+    let stride = nb + 1 in
     (* vertical deltas, all +1 initially (column 0 of the DP table) *)
     let pv = Array.make nb word_mask in
     let mv = Array.make nb 0 in
@@ -93,10 +171,11 @@ let myers_with_peq ~alphabet ~m ~peq (text : int array) =
     let last_bit = 1 lsl ((m - 1) mod word_bits) in
     for j = 0 to n - 1 do
       let sym = Array.unsafe_get text j in
+      let base = (lookup table ~stride ~bits sym * stride) + 1 in
       (* horizontal deltas carried into the current block from below *)
       let ph_in = ref 1 and mh_in = ref 0 in
       for b = 0 to nb - 1 do
-        let eq0 = Array.unsafe_get peq ((b * alphabet) + sym) in
+        let eq0 = Array.unsafe_get table (base + b) in
         let pvb = Array.unsafe_get pv b and mvb = Array.unsafe_get mv b in
         let xv = eq0 lor mvb in
         (* a negative horizontal delta entering the block acts like a
@@ -126,11 +205,7 @@ let myers_with_peq ~alphabet ~m ~peq (text : int array) =
     !score
   end
 
-let myers ~alphabet (a : int array) (b : int array) =
-  let m = Array.length a in
-  if m = 0 then Array.length b
-  else
-    myers_with_peq ~alphabet ~m ~peq:(myers_peq ~alphabet a) b
+let myers (a : int array) (b : int array) = myers_pattern (pattern a) b
 
 (* ---- Ukkonen banded early-abandon variant ------------------------------
 

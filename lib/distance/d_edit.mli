@@ -14,11 +14,11 @@
 
     Three kernels compute the same integer distance (DESIGN.md §10):
     the classic one-row DP ({!levenshtein}, {!levenshtein_ints}), the
-    Myers bit-parallel algorithm over interned symbols ({!myers},
-    O(nm/w) with w = 62 payload bits per word) and the Ukkonen banded
-    early-abandon variant ({!distance_at_most}).  The feature-table
-    matrix path ({!Features}) uses Myers with per-query precomputed
-    pattern bitvectors. *)
+    Myers bit-parallel algorithm over non-negative int symbols
+    ({!myers}, O(nm/w) with w = 62 payload bits per word) and the
+    Ukkonen banded early-abandon variant ({!distance_at_most}).  The
+    feature-table matrix path ({!Features}) uses Myers with a per-query
+    precomputed compact {!pattern}. *)
 
 val levenshtein : ('a -> 'a -> bool) -> 'a array -> 'a array -> int
 (** Classic one-row DP under a caller-supplied equality. *)
@@ -28,20 +28,31 @@ val levenshtein_ints : int array -> int array -> int
     closure in the inner loop); same result as
     [levenshtein Int.equal]. *)
 
-val myers : alphabet:int -> int array -> int array -> int
-(** Myers bit-parallel edit distance of two interned symbol sequences.
-    Symbols must lie in [\[0, alphabet)].  Equals {!levenshtein_ints} on
-    every input (property-tested), at O(nm/62) word operations. *)
+type pattern
+(** The pattern side of the Myers kernel: per distinct symbol of the
+    pattern, its position bitmask, one word per 62-symbol block, in an
+    open-addressed table of at least twice as many slots as the pattern
+    has distinct symbols.  Its size is O(m + m²/62) words for a pattern
+    of length [m], independent of the alphabet; a symbol absent from
+    the pattern reads an all-zero column.  Immutable once built, so one
+    pattern may be shared by every thread and domain. *)
 
-val myers_peq : alphabet:int -> int array -> int array
-(** Pattern preprocessing for {!myers_with_peq}: the per-symbol position
-    bitmasks, one word per 62-symbol block, laid out block-major
-    ([peq.(block * alphabet + sym)]).  Build once per query and reuse
-    across a whole matrix row ({!Features}). *)
+val pattern : int array -> pattern
+(** Build the table of a symbol sequence.  Symbols must be
+    non-negative (any value up to [max_int], not only a dense
+    interning).  Build once per query and reuse across a whole matrix
+    row ({!Features}).
+    @raise Invalid_argument on a negative symbol. *)
 
-val myers_with_peq : alphabet:int -> m:int -> peq:int array -> int array -> int
-(** [myers_with_peq ~alphabet ~m ~peq text] where [peq] is
-    [myers_peq ~alphabet pat] and [m = Array.length pat]. *)
+val myers_pattern : pattern -> int array -> int
+(** [myers_pattern (pattern a) b] is the Levenshtein distance of [a]
+    and [b], at O(|a|·|b|/62) word operations plus one table lookup per
+    symbol of [b].  Allocates only its two column vectors. *)
+
+val myers : int array -> int array -> int
+(** Myers bit-parallel edit distance of two non-negative symbol
+    sequences: [myers_pattern (pattern a) b].  Equals
+    {!levenshtein_ints} on every input (property-tested). *)
 
 val myers_blocks : int -> int
 (** Number of bit-vector blocks a pattern of the given length needs

@@ -10,7 +10,7 @@
    - interning is injective, so intersection/union cardinalities of the
      interned sets equal those of the original string / Feature.t sets
      and the Jaccard float is the same division;
-   - the edit kernel ({!D_edit.myers_with_peq}) computes the same
+   - the edit kernel ({!D_edit.myers_pattern}) computes the same
      integer distance as the seed DP, so the normalized float is the
      same division;
    - access and clause distances go through the exact seed expressions
@@ -29,14 +29,12 @@ module Interner = struct
       t.next <- i + 1;
       Hashtbl.add t.tbl x i;
       i
-
-  let size t = t.next
 end
 
 type record = {
   printed : string;
   edit_tokens : int array;
-  peq : int array;
+  pattern : D_edit.pattern;
   token_set : int array;
   structure_set : int array;
   clause_proj : int array;
@@ -45,14 +43,10 @@ type record = {
   areas : (string * Access_area.t) list;
 }
 
-type t = {
-  records : record array;
-  alphabet : int;
-}
+type t = { records : record array }
 
 let length t = Array.length t.records
 let record t i = t.records.(i)
-let alphabet t = t.alphabet
 
 let m_builds = Obs.Registry.counter "kitdpe.distance.features.builds"
 let m_reuse = Obs.Registry.counter "kitdpe.distance.features.reuse"
@@ -112,7 +106,9 @@ let resolve_pool = function
   | None -> Parallel.Pool.global ()
 
 (* phases B (sequential interning — the tables are not domain-safe) and
-   C (parallel peq construction) *)
+   C (parallel per-record sets and edit patterns, each O(tokens) words:
+   nothing here is sized by the alphabet, which grows with n under DET
+   because every distinct constant is its own token) *)
 let finish ~pool raws =
   let edit_int = Interner.create () in
   let feat_int = Interner.create () in
@@ -129,14 +125,13 @@ let finish ~pool raws =
           intern_set clause_int r.r_sel ))
       raws
   in
-  let alphabet = max 1 (Interner.size edit_int) in
   let records =
     Parallel.Pool.map_array pool
       (fun (r, edit_tokens, structure_set, clause_proj, clause_group, clause_sel) ->
         {
           printed = r.r_printed;
           edit_tokens;
-          peq = D_edit.myers_peq ~alphabet edit_tokens;
+          pattern = D_edit.pattern edit_tokens;
           token_set = sorted_set_of_seq edit_tokens;
           structure_set;
           clause_proj;
@@ -146,7 +141,7 @@ let finish ~pool raws =
         })
       interned
   in
-  { records; alphabet }
+  { records }
 
 let build ?pool (queries : Sqlir.Ast.query array) =
   let pool = resolve_pool pool in
@@ -206,11 +201,7 @@ let access ~x t i j =
   D_access.distance_of_areas ~x t.records.(i).areas t.records.(j).areas
 
 let edit_distance_int t i j =
-  let a = t.records.(i) and b = t.records.(j) in
-  let m = Array.length a.edit_tokens in
-  if m = 0 then Array.length b.edit_tokens
-  else
-    D_edit.myers_with_peq ~alphabet:t.alphabet ~m ~peq:a.peq b.edit_tokens
+  D_edit.myers_pattern t.records.(i).pattern t.records.(j).edit_tokens
 
 let edit t i j =
   Obs.Metric.add m_reuse 2;

@@ -39,9 +39,9 @@ type record = {
   printed : string;  (** canonical printed form ([Sqlir.Printer]) *)
   edit_tokens : int array;
       (** fused token {e sequence} (interned), the edit-distance input *)
-  peq : int array;
-      (** Myers pattern bitvectors of [edit_tokens]
-          ({!D_edit.myers_peq}) *)
+  pattern : D_edit.pattern;
+      (** Myers pattern table of [edit_tokens] ({!D_edit.pattern}):
+          O(length) words, whatever the table's alphabet *)
   token_set : int array;
       (** sorted duplicate-free [edit_tokens] — {!D_token} input *)
   structure_set : int array;  (** interned {!Feature.t} set *)
@@ -55,10 +55,6 @@ type t
 
 val length : t -> int
 val record : t -> int -> record
-
-val alphabet : t -> int
-(** Size of the edit-token interning (>= 1), the [~alphabet] of the
-    Myers kernel. *)
 
 val build : ?pool:Parallel.Pool.t -> Sqlir.Ast.query array -> t
 (** Build the table, one record per query, across [pool] (default

@@ -67,8 +67,27 @@ let run_index ~min_pts { ri_n = n; range } =
     range i
   in
   let labels = Array.make n (-2) in
-  (* -2 unvisited, -1 noise, >= 0 cluster id *)
+  (* -2 unvisited, -3 queued, -1 noise, >= 0 cluster id *)
   let cluster = ref (-1) in
+  (* The expansion frontier.  A neighbor is queued only while unvisited
+     and not yet queued; a noise neighbor becomes a border point at
+     once, as it would at its first pop (border points never expand).
+     Only a point's first occurrence in a queue that took every
+     neighbor, repeats included, ever did work, and those occurrences
+     arrive in the same order here, so the labels are the same.  Every
+     point is queued at most once per run: one n-slot FIFO serves all
+     clusters. *)
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push j =
+    let l = labels.(j) in
+    if l = -1 then labels.(j) <- !cluster (* border point *)
+    else if l = -2 then begin
+      labels.(j) <- -3;
+      queue.(!tail) <- j;
+      incr tail
+    end
+  in
   for i = 0 to n - 1 do
     if labels.(i) = -2 then begin
       let nbrs = neighbors i in
@@ -76,18 +95,13 @@ let run_index ~min_pts { ri_n = n; range } =
       else begin
         incr cluster;
         labels.(i) <- !cluster;
-        (* expand the cluster with a work queue *)
-        let queue = Queue.create () in
-        List.iter (fun j -> Queue.add j queue) nbrs;
-        while not (Queue.is_empty queue) do
-          let j = Queue.pop queue in
-          if labels.(j) = -1 then labels.(j) <- !cluster (* border point *)
-          else if labels.(j) = -2 then begin
-            labels.(j) <- !cluster;
-            let nbrs_j = neighbors j in
-            if List.length nbrs_j + 1 >= min_pts then
-              List.iter (fun k -> Queue.add k queue) nbrs_j
-          end
+        List.iter push nbrs;
+        while !head < !tail do
+          let j = queue.(!head) in
+          incr head;
+          labels.(j) <- !cluster;
+          let nbrs_j = neighbors j in
+          if List.length nbrs_j + 1 >= min_pts then List.iter push nbrs_j
         done
       end
     end

@@ -19,7 +19,9 @@ val run_index : min_pts:int -> range_index -> int array
     ids are assigned in scan order and every neighborhood arrives in
     ascending order, so two range indexes answering the same
     neighborhoods give equal label arrays (not merely equal
-    partitions). *)
+    partitions).  Besides the neighborhoods, a run holds O(n): the
+    label array and one n-slot expansion queue, each point queued at
+    most once. *)
 
 val run : params -> Dist_matrix.t -> int array
 (** {!run_index} over the matrix scan [{ j <> i | get m i j <= eps }]. *)

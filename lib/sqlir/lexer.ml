@@ -15,7 +15,14 @@ let keywords =
     "BETWEEN"; "IN"; "LIKE"; "IS"; "NULL"; "AS";
     "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
 
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+(* identifiers longer than every keyword (DET ciphertext names run to
+   40-60 bytes) are rejected before the uppercase copy is allocated *)
+let max_keyword_len =
+  List.fold_left (fun acc k -> max acc (String.length k)) 0 keywords
+
+let is_keyword s =
+  String.length s <= max_keyword_len
+  && List.mem (String.uppercase_ascii s) keywords
 
 let token_to_string = function
   | Kw k -> k

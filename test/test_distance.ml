@@ -414,15 +414,21 @@ let kernel_properties =
   let arr = QCheck.(array_of_size (QCheck.Gen.int_range 0 150) (int_range 0 40)) in
   let pairs = QCheck.pair arr arr in
   [ QCheck.Test.make ~name:"myers = classic DP (incl. >1 block)" ~count:400 pairs
-      (fun (a, b) -> DE.myers ~alphabet:41 a b = DE.levenshtein_ints a b);
-    QCheck.Test.make ~name:"myers via precomputed peq = classic DP" ~count:400
-      pairs
-      (fun (a, b) ->
-        let peq = DE.myers_peq ~alphabet:41 a in
-        let m = Array.length a in
-        (if m = 0 then Array.length b
-         else DE.myers_with_peq ~alphabet:41 ~m ~peq b)
-        = DE.levenshtein_ints a b);
+      (fun (a, b) -> DE.myers a b = DE.levenshtein_ints a b);
+    (* sparse symbol ids up to 2^20: the compact pattern table is keyed
+       by the pattern's distinct symbols, not indexed by an alphabet, so
+       ids far apart (and colliding in the table) must still read the
+       right column, and text symbols absent from the pattern the zero
+       column *)
+    (let sparse_arr =
+       QCheck.(
+         array_of_size (QCheck.Gen.int_range 0 150)
+           (oneof [ int_range 0 40; int_range 0 (1 lsl 20) ]))
+     in
+     QCheck.Test.make ~name:"myers compact pattern = classic DP" ~count:400
+       (QCheck.pair sparse_arr sparse_arr)
+       (fun (a, b) ->
+         DE.myers_pattern (DE.pattern a) b = DE.levenshtein_ints a b));
     QCheck.Test.make ~name:"distance_at_most exact, both sides of the bound"
       ~count:400
       (QCheck.triple arr arr (QCheck.int_range 0 160))
@@ -556,6 +562,40 @@ let test_features_fault () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "clean build after disarm"
 
+(* every constant distinct, as DET makes them: the edit-token alphabet
+   grows with n, so a per-record table sized by the alphabet would make
+   the feature table grow as n² *)
+let test_features_size_linear () =
+  let distinct_log n =
+    Array.init n (fun i ->
+        parse
+          (Printf.sprintf
+             "SELECT a, b FROM r WHERE a = %d AND b < %d OR c > %d" (3 * i)
+             ((3 * i) + 1)
+             ((3 * i) + 2)))
+  in
+  (* live major-heap words the table holds (Obj.reachable_words is
+     barred by UNSAFE01): the parsed log is live across both readings,
+     so the difference is the table alone *)
+  let words n =
+    let log = distinct_log n in
+    Gc.full_major ();
+    let before = (Gc.stat ()).Gc.live_words in
+    let t = Distance.Features.build log in
+    Gc.full_major ();
+    let after = (Gc.stat ()).Gc.live_words in
+    check_int "table kept alive" n
+      (Distance.Features.length (Sys.opaque_identity t));
+    ignore (Sys.opaque_identity log);
+    after - before
+  in
+  let w500 = words 500 and w2000 = words 2000 in
+  let ratio = float_of_int w2000 /. float_of_int w500 in
+  if ratio < 3.5 || ratio > 4.5 then
+    Alcotest.failf
+      "feature table words n=500: %d, n=2000: %d (%.2fx, want 3.5-4.5x)" w500
+      w2000 ratio
+
 let () =
   Alcotest.run "distance"
     [ ("jaccard",
@@ -587,4 +627,5 @@ let () =
            test_features_matrix_identity;
          Alcotest.test_case "pair evaluators" `Quick test_features_evaluators;
          Alcotest.test_case "builds/reuse metrics" `Quick test_features_metrics;
-         Alcotest.test_case "fault point surfaces" `Quick test_features_fault ]) ]
+         Alcotest.test_case "fault point surfaces" `Quick test_features_fault;
+         Alcotest.test_case "size linear in n" `Quick test_features_size_linear ]) ]

@@ -368,10 +368,72 @@ module Ref_kmedoids = struct
     assign m medoids
 end
 
+(* the DBSCAN expansion as first written: every neighbor of every core
+   point is pushed, repeats included, and a pop of an already-labelled
+   point is skipped — the reference for the deduplicated frontier *)
+module Ref_dbscan = struct
+  let run ~eps ~min_pts m =
+    let n = Mining.Dist_matrix.size m in
+    let neighbors i =
+      List.filter
+        (fun j -> j <> i && Mining.Dist_matrix.get m i j <= eps)
+        (List.init n Fun.id)
+    in
+    let labels = Array.make n (-2) in
+    let cluster = ref (-1) in
+    for i = 0 to n - 1 do
+      if labels.(i) = -2 then begin
+        let nbrs = neighbors i in
+        if List.length nbrs + 1 < min_pts then labels.(i) <- -1
+        else begin
+          incr cluster;
+          labels.(i) <- !cluster;
+          let queue = Queue.create () in
+          List.iter (fun j -> Queue.add j queue) nbrs;
+          while not (Queue.is_empty queue) do
+            let j = Queue.pop queue in
+            if labels.(j) = -1 then labels.(j) <- !cluster
+            else if labels.(j) = -2 then begin
+              labels.(j) <- !cluster;
+              let nbrs_j = neighbors j in
+              if List.length nbrs_j + 1 >= min_pts then
+                List.iter (fun k -> Queue.add k queue) nbrs_j
+            end
+          done
+        end
+      end
+    done;
+    labels
+end
+
+(* 2-D points, up to 40 of them, so neighborhoods overlap, chain and
+   leave border and noise points at every min_pts *)
+let arb_dbscan_case =
+  QCheck.make
+    ~print:(fun (m, eps, min_pts) ->
+      Printf.sprintf "n=%d eps=%g min_pts=%d" (Mining.Dist_matrix.size m) eps
+        min_pts)
+    QCheck.Gen.(
+      let* n = int_range 1 40 in
+      let* xs = array_size (return n) (float_bound_exclusive 100.0) in
+      let* ys = array_size (return n) (float_bound_exclusive 100.0) in
+      let* eps = float_range 0.0 30.0 in
+      let* min_pts = int_range 1 5 in
+      return
+        ( Mining.Dist_matrix.of_fun n (fun i j ->
+              Float.hypot (xs.(i) -. xs.(j)) (ys.(i) -. ys.(j))),
+          eps,
+          min_pts ))
+
 let pr5_identity =
   let arb = arb_matrix in
   let arb_eps = QCheck.pair arb_matrix (QCheck.float_range 0.5 60.0) in
-  [ QCheck.Test.make ~name:"dbscan oracle = dbscan matrix" ~count:150 arb_eps
+  [ QCheck.Test.make ~name:"dbscan frontier = duplicate queue" ~count:300
+      arb_dbscan_case
+      (fun (m, eps, min_pts) ->
+        Mining.Dbscan.run { Mining.Dbscan.eps; min_pts } m
+        = Ref_dbscan.run ~eps ~min_pts m);
+    QCheck.Test.make ~name:"dbscan oracle = dbscan matrix" ~count:150 arb_eps
       (fun (m, eps) ->
         let oracle =
           Mining.Dbscan.brute_force ~n:(Mining.Dist_matrix.size m)

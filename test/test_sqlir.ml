@@ -32,7 +32,9 @@ let test_lexer_basics () =
    | [ Lexer.Kw "WHERE"; Lexer.Ident "a"; Lexer.Sym "="; Lexer.Int_lit (-5) ] -> ()
    | _ -> Alcotest.fail "negative literal after =");
   check_bool "keyword predicate" true (Lexer.is_keyword "select");
-  check_bool "non-keyword" false (Lexer.is_keyword "foo")
+  check_bool "non-keyword" false (Lexer.is_keyword "foo");
+  check_bool "longest keyword" true (Lexer.is_keyword "Distinct");
+  check_bool "long identifier" false (Lexer.is_keyword (String.make 60 'a'))
 
 let test_lexer_errors () =
   (try
